@@ -57,8 +57,7 @@ fixtures()
 
 // Raw blocked-GEMM kernel at the layer shapes the PMM forward pass
 // actually issues: token projection [n, 120]x[120, 40], a relation /
-// self-loop transform [n, 40]x[40, 40], the two head layers, and an
-// 8-graph micro-batch of relation transforms.
+// self-loop transform [n, 40]x[40, 40] and the two head layers.
 void
 BM_RawMatmul(benchmark::State &state)
 {
@@ -86,7 +85,6 @@ BENCHMARK(BM_RawMatmul)
     ->Args({131, 40, 40})   // relation / self-loop transform
     ->Args({64, 40, 32})    // head hidden layer
     ->Args({64, 32, 1})     // head output layer
-    ->Args({1048, 40, 40})  // 8-graph micro-batch relation transform
     ->Unit(benchmark::kMicrosecond);
 
 void
@@ -104,22 +102,15 @@ BM_PmmInferenceLatency(benchmark::State &state)
 BENCHMARK(BM_PmmInferenceLatency)->Unit(benchmark::kMillisecond);
 
 // Service saturation: 16 in-flight queries per iteration, swept over
-// worker counts with micro-batching on (max_batch 8) and off
-// (max_batch 1, no straggler window). UseRealTime: throughput is
-// wall-clock — worker threads do the serving, so CPU time of the
-// submitting thread is meaningless.
+// worker counts. UseRealTime: throughput is wall-clock — worker threads
+// do the serving, so CPU time of the submitting thread is meaningless.
 void
 BM_InferenceServiceThroughput(benchmark::State &state)
 {
     const auto &model = spbench::sharedPmm();
     const auto &queries = fixtures().queries;
-    core::BatchOptions batch;
-    if (state.range(1) == 0) {
-        batch.max_batch = 1;
-        batch.max_window_us = 0;
-    }
-    core::InferenceService service(
-        model, static_cast<size_t>(state.range(0)), batch);
+    core::InferenceService service(model,
+                                   static_cast<size_t>(state.range(0)));
     for (auto _ : state) {
         std::vector<std::future<std::vector<float>>> futures;
         futures.reserve(16);
@@ -135,18 +126,13 @@ BM_InferenceServiceThroughput(benchmark::State &state)
     const auto stats = service.stats();
     state.counters["mean_latency_ms"] = stats.mean_latency_us / 1000.0;
     state.counters["p99_latency_ms"] = stats.p99_latency_us / 1000.0;
-    state.counters["mean_batch"] = stats.mean_batch_size;
 }
 BENCHMARK(BM_InferenceServiceThroughput)
-    ->ArgNames({"workers", "batched"})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({8, 1})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({8, 0})
+    ->ArgName("workers")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

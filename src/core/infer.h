@@ -8,19 +8,16 @@
  * continues with other mutation types and collects predictions through
  * futures. Latency and throughput statistics back the §5.5 evaluation.
  *
- * Workers micro-batch: each drains up to BatchOptions::max_batch
- * queued requests — waiting at most an adaptive window for stragglers
- * — and runs them as one packed forward pass (Pmm::predictBatch), so
- * the dense layers amortize into batched GEMMs under load while an
- * idle service still serves singletons at minimum latency. Per-request
- * futures and latency accounting are unchanged; latencies are recorded
- * through a sharded histogram so completion never contends on the
- * queue mutex.
+ * Each worker pops one request and runs one Pmm::predict forward pass
+ * for it. Requests are deliberately not micro-batched: on the campaign
+ * benchmark, batching cost throughput and memory (DESIGN.md §8.3).
+ * Latencies are recorded through a sharded histogram so completion
+ * never contends on the queue mutex.
  */
 #ifndef SP_CORE_INFER_H
 #define SP_CORE_INFER_H
 
-#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -42,24 +39,12 @@ struct InferenceStats
     double p50_latency_us = 0.0;
     double p95_latency_us = 0.0;
     double p99_latency_us = 0.0;
-    uint64_t batches = 0;          ///< forward passes run
-    double mean_batch_size = 0.0;  ///< completed / batches
-};
-
-/** Micro-batching knobs. */
-struct BatchOptions
-{
-    /** Requests per forward pass; 1 disables batching entirely. */
-    size_t max_batch = 8;
     /**
-     * Upper bound (µs) on how long a worker with a partial batch
-     * waits for more arrivals. The effective window adapts inside
-     * [1, max_window_us]: it doubles whenever waiting gained extra
-     * requests and halves whenever a wait produced none, so sparse
-     * traffic degenerates to unbatched dispatch. 0 disables waiting
-     * (drain-only opportunistic batching).
+     * Requests per forward pass: 1.0 once any request has completed,
+     * else 0. Every forward pass serves exactly one request; the field
+     * stays so reports that print it keep their shape.
      */
-    uint32_t max_window_us = 200;
+    double mean_batch_size = 0.0;
 };
 
 /** Multi-threaded inference front-end over one PMM. */
@@ -71,10 +56,8 @@ class InferenceService
      *                 passes only read the parameters, so the pool can
      *                 share it)
      * @param workers  worker-thread count (the paper's GPU replicas)
-     * @param batch    micro-batching configuration
      */
-    InferenceService(const Pmm &model, size_t workers = 2,
-                     BatchOptions batch = {});
+    InferenceService(const Pmm &model, size_t workers = 2);
 
     /** Drains the queue and joins the workers. */
     ~InferenceService();
@@ -86,14 +69,11 @@ class InferenceService
      * Enqueue a query; the future resolves to per-argument-node MUTATE
      * probabilities. `trace_id` carries the caller's pipeline trace id
      * across the thread hand-off (obs::currentTraceId(); 0 = untraced)
-     * so the request's queue wait and its batch's forward pass land in
-     * the same trace as the round that issued it.
+     * so the request's queue wait and its forward pass land in the
+     * same trace as the round that issued it.
      */
     std::future<std::vector<float>> submit(graph::EncodedGraph graph,
                                            uint64_t trace_id = 0);
-
-    /** Synchronous convenience wrapper. */
-    std::vector<float> infer(const graph::EncodedGraph &graph) const;
 
     /** Latency/throughput counters so far. */
     InferenceStats stats() const;
@@ -113,16 +93,11 @@ class InferenceService
     void workerLoop(size_t worker);
 
     const Pmm &model_;
-    const BatchOptions batch_;
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     std::deque<Request> queue_;
     bool stopping_ = false;
     std::vector<std::thread> workers_;
-
-    /** Adaptive straggler window, µs (see BatchOptions). */
-    std::atomic<uint32_t> window_us_;
-    std::atomic<uint64_t> batches_{0};
     /** Sharded per-request latency sink; folded only in stats(). */
     obs::Histogram latency_us_;
 };

@@ -176,45 +176,4 @@ Pmm::predict(const graph::EncodedGraph &graph) const
     return probs.data();
 }
 
-std::vector<std::vector<float>>
-Pmm::predictBatch(
-    const std::vector<const graph::EncodedGraph *> &graphs) const
-{
-    std::vector<std::vector<float>> results(graphs.size());
-    // Graphs without prediction targets contribute nothing; keep only
-    // the ones the forward pass needs (their result stays empty).
-    std::vector<const graph::EncodedGraph *> active;
-    std::vector<size_t> active_index;
-    for (size_t i = 0; i < graphs.size(); ++i) {
-        SP_ASSERT(graphs[i] != nullptr, "predictBatch: null graph");
-        if (graphs[i]->num_nodes > 0 &&
-            !graphs[i]->argument_nodes.empty()) {
-            active.push_back(graphs[i]);
-            active_index.push_back(i);
-        }
-    }
-    if (active.empty())
-        return results;
-    if (active.size() == 1) {
-        results[active_index[0]] = predict(*active[0]);
-        return results;
-    }
-
-    nn::InferenceScope scope;
-    const graph::GraphBatch batch = graph::concatGraphs(active);
-    nn::Tensor probs = nn::sigmoid(forward(batch.merged));
-    const std::vector<float> &flat = probs.data();
-    size_t offset = 0;
-    for (size_t b = 0; b < active.size(); ++b) {
-        const size_t count = batch.argument_counts[b];
-        results[active_index[b]].assign(
-            flat.begin() + static_cast<int64_t>(offset),
-            flat.begin() + static_cast<int64_t>(offset + count));
-        offset += count;
-    }
-    SP_ASSERT(offset == flat.size(),
-              "predictBatch: merged output size mismatch");
-    return results;
-}
-
 }  // namespace sp::core

@@ -72,19 +72,6 @@ class Pmm : public nn::Module
     std::vector<float> predict(const graph::EncodedGraph &graph) const;
 
     /**
-     * Batched predict: packs the graphs into one block-diagonal batch
-     * (graph::concatGraphs) so the dense layers run as single GEMMs
-     * over the stacked node-feature matrices, then splits the merged
-     * output back per graph. Message passing stays exact — edges never
-     * cross graph boundaries — so each result matches the unbatched
-     * predict() on the same graph. Graphs with no argument nodes (or
-     * no nodes) yield empty vectors, mirroring predict().
-     */
-    std::vector<std::vector<float>>
-    predictBatch(const std::vector<const graph::EncodedGraph *> &graphs)
-        const;
-
-    /**
      * Hidden states of every node after message passing ([num_nodes,
      * dim]). Extension heads (e.g. call-insertion localization, §6 of
      * the paper) build on these shared representations.

@@ -338,7 +338,7 @@ AsyncPmmLocalizer::localizeChosen(const prog::Prog &prog,
     PendingQuery pending;
     pending.locations = std::move(query.argument_locations);
     // Hand the worker's pipeline trace id across the thread boundary:
-    // the service stamps this request's queue-wait and batch spans
+    // the service stamps this request's queue-wait and forward spans
     // with it, keeping the round's trace intact through the hop.
     pending.future = service_.submit(graph::encodeGraph(kernel_, query),
                                      obs::currentTraceId());

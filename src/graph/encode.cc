@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "kernel/block.h"
-#include "util/logging.h"
 
 namespace sp::graph {
 
@@ -80,63 +79,6 @@ encodeGraphInto(const kern::Kernel &kernel, const QueryGraph &graph,
     out.argument_nodes.reserve(graph.argument_nodes.size());
     for (uint32_t index : graph.argument_nodes)
         out.argument_nodes.push_back(static_cast<int32_t>(index));
-}
-
-namespace {
-
-void
-appendShifted(std::vector<int32_t> &dst, const std::vector<int32_t> &src,
-              int32_t offset)
-{
-    dst.reserve(dst.size() + src.size());
-    for (int32_t v : src)
-        dst.push_back(v + offset);
-}
-
-}  // namespace
-
-GraphBatch
-concatGraphs(const std::vector<const EncodedGraph *> &graphs)
-{
-    SP_ASSERT(!graphs.empty(), "concatGraphs on an empty batch");
-    GraphBatch batch;
-    batch.node_offsets.reserve(graphs.size());
-    batch.argument_counts.reserve(graphs.size());
-
-    EncodedGraph &merged = batch.merged;
-    for (const EncodedGraph *g : graphs) {
-        SP_ASSERT(g != nullptr && g->num_nodes > 0,
-                  "concatGraphs needs non-empty graphs");
-        const int32_t offset = merged.num_nodes;
-        batch.node_offsets.push_back(offset);
-        batch.argument_counts.push_back(g->argument_nodes.size());
-
-        merged.num_nodes += g->num_nodes;
-        merged.node_kind.insert(merged.node_kind.end(),
-                                g->node_kind.begin(),
-                                g->node_kind.end());
-        merged.syscall_tok.insert(merged.syscall_tok.end(),
-                                  g->syscall_tok.begin(),
-                                  g->syscall_tok.end());
-        merged.arg_type_tok.insert(merged.arg_type_tok.end(),
-                                   g->arg_type_tok.begin(),
-                                   g->arg_type_tok.end());
-        merged.arg_slot_tok.insert(merged.arg_slot_tok.end(),
-                                   g->arg_slot_tok.begin(),
-                                   g->arg_slot_tok.end());
-        merged.target_flag.insert(merged.target_flag.end(),
-                                  g->target_flag.begin(),
-                                  g->target_flag.end());
-        merged.block_tokens.insert(merged.block_tokens.end(),
-                                   g->block_tokens.begin(),
-                                   g->block_tokens.end());
-        for (size_t r = 0; r < merged.adj.size(); ++r) {
-            appendShifted(merged.adj[r].src, g->adj[r].src, offset);
-            appendShifted(merged.adj[r].dst, g->adj[r].dst, offset);
-        }
-        appendShifted(merged.argument_nodes, g->argument_nodes, offset);
-    }
-    return batch;
 }
 
 }  // namespace sp::graph

@@ -66,27 +66,6 @@ EncodedGraph encodeGraph(const kern::Kernel &kernel,
 void encodeGraphInto(const kern::Kernel &kernel, const QueryGraph &graph,
                      EncodedGraph &out);
 
-/**
- * Several independent graphs packed into one block-diagonal batch:
- * node features are concatenated, adjacency indices are shifted by
- * each graph's node offset, so one forward pass over `merged` runs the
- * dense layers as batched GEMMs while message passing stays exact
- * (edges never cross graph boundaries). `argument_counts[i]` says how
- * many rows of the merged prediction belong to input graph i, in
- * input order — per-node results are bit-identical to running each
- * graph alone because every per-row computation sees the same
- * operands.
- */
-struct GraphBatch
-{
-    EncodedGraph merged;
-    std::vector<int32_t> node_offsets;     ///< per input graph
-    std::vector<size_t> argument_counts;   ///< per input graph
-};
-
-/** Pack graphs (each with ≥ 1 node) into one batch. */
-GraphBatch concatGraphs(const std::vector<const EncodedGraph *> &graphs);
-
 }  // namespace sp::graph
 
 #endif  // SP_GRAPH_ENCODE_H

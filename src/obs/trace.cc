@@ -380,8 +380,8 @@ spanKindName(SpanKind kind)
         return "checkpoint_wait";
       case SpanKind::InferQueue:
         return "infer_queue";
-      case SpanKind::InferBatch:
-        return "infer_batch";
+      case SpanKind::InferForward:
+        return "infer_forward";
       case SpanKind::kCount:
         break;
     }

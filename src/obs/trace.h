@@ -47,7 +47,7 @@ enum class SpanKind : uint32_t {
     Seed,                ///< seed-corpus generation round
     CheckpointWait,      ///< blocked in the ledger prefix barrier
     InferQueue,          ///< request queue-wait inside the service
-    InferBatch,          ///< one micro-batched forward pass
+    InferForward,        ///< one request's forward pass
     kCount,
 };
 
@@ -60,7 +60,7 @@ struct Span
     uint64_t trace_id = 0;  ///< pipeline round id; 0 = none
     uint64_t ts_us = 0;     ///< start, monotonicMicros() time base
     uint64_t dur_us = 0;
-    uint64_t arg = 0;       ///< kind-specific (slot / wait µs / batch)
+    uint64_t arg = 0;       ///< kind-specific (slot / wait µs / depth)
     SpanKind kind = SpanKind::Schedule;
     uint32_t ring = 0;      ///< recording ring (≈ thread) id
 };

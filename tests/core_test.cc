@@ -153,42 +153,6 @@ TEST(Pmm, PredictMatchesTrainingModeForward)
         EXPECT_NEAR(fast[i], taped.data()[i], 1e-6f) << i;
 }
 
-TEST(Pmm, PredictBatchMatchesIndividualPredictions)
-{
-    const auto &dataset = smallDataset();
-    PmmConfig config;
-    config.dim = 16;
-    config.token_dim = 8;
-    Pmm model(config);
-
-    std::vector<graph::EncodedGraph> graphs;
-    for (size_t i = 0; i < std::min<size_t>(5, dataset.train.size());
-         ++i) {
-        graphs.push_back(
-            materializeExample(dataset, dataset.train[i]).first);
-    }
-    graphs.emplace_back();  // empty graph: must yield an empty result
-
-    std::vector<const graph::EncodedGraph *> pointers;
-    for (const auto &g : graphs)
-        pointers.push_back(&g);
-    auto batched = model.predictBatch(pointers);
-    ASSERT_EQ(batched.size(), graphs.size());
-    for (size_t i = 0; i < graphs.size(); ++i) {
-        auto individual = model.predict(graphs[i]);
-        ASSERT_EQ(batched[i].size(), individual.size()) << "graph " << i;
-        for (size_t j = 0; j < individual.size(); ++j) {
-            // Block-diagonal batching is per-row exact: 1e-4 is the
-            // acceptance bound, but equality should hold bitwise.
-            EXPECT_NEAR(batched[i][j], individual[j], 1e-4f)
-                << "graph " << i << " arg " << j;
-            EXPECT_FLOAT_EQ(batched[i][j], individual[j])
-                << "graph " << i << " arg " << j;
-        }
-    }
-    EXPECT_TRUE(batched.back().empty());
-}
-
 TEST(Pmm, GradientsReachEveryParameter)
 {
     const auto &dataset = smallDataset();

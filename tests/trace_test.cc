@@ -297,10 +297,10 @@ TEST_F(TracerTest, TraceIdSurvivesAsyncLocalizerHandOff)
     const auto rings = obs::snapshotRings();
     const auto queue_spans =
         spansOfKind(rings, obs::SpanKind::InferQueue);
-    const auto batch_spans =
-        spansOfKind(rings, obs::SpanKind::InferBatch);
+    const auto forward_spans =
+        spansOfKind(rings, obs::SpanKind::InferForward);
     ASSERT_FALSE(queue_spans.empty());
-    ASSERT_FALSE(batch_spans.empty());
+    ASSERT_FALSE(forward_spans.empty());
 
     // Every inference-side span carries a trace id minted by a worker
     // round — the id crossed the submit() thread boundary intact.
@@ -315,8 +315,18 @@ TEST_F(TracerTest, TraceIdSurvivesAsyncLocalizerHandOff)
         EXPECT_TRUE(round_ids.count(span.trace_id))
             << "orphan trace id " << span.trace_id;
     }
-    for (const auto &span : batch_spans)
+    // Every traced request's queue wait is matched by a forward pass
+    // in the same trace: compute is charged to each request's own id.
+    std::set<uint64_t> forward_ids;
+    for (const auto &span : forward_spans) {
         EXPECT_NE(span.trace_id, 0u);
+        forward_ids.insert(span.trace_id);
+    }
+    for (const auto &span : queue_spans) {
+        EXPECT_TRUE(forward_ids.count(span.trace_id))
+            << "queue wait without a forward pass in trace "
+            << span.trace_id;
+    }
 
     // And the inference rings are labeled as such.
     bool infer_ring_seen = false;
