@@ -67,9 +67,9 @@ fuzzFinalEdges(const kern::Kernel &kernel, const core::Pmm &model,
         // now, not on the localizer.
         opts.policy.pmm_fallback_prob = fallback_prob;
         core::SnowplowOptions snow = spbench::evalSnowplowOptions();
-        auto fuzzer =
-            core::makeSnowplowFuzzer(kernel, model, opts, snow);
-        edges.add(static_cast<double>(fuzzer->run().final_edges));
+        auto campaign =
+            core::makeSnowplowCampaign(kernel, model, {.fuzz = opts}, snow);
+        edges.add(static_cast<double>(campaign->run().final_edges));
     }
     return edges.mean();
 }
@@ -128,8 +128,9 @@ runPolicySweep(const char *out_path)
             opts.policy.kind = kPolicyModes[m].kind;
             opts.policy.pmm_fallback_prob =
                 kPolicyModes[m].fallback_prob;
-            auto fuzzer = core::makeSnowplowFuzzer(kernel, model, opts);
-            const auto report = fuzzer->run();
+            auto campaign =
+                core::makeSnowplowCampaign(kernel, model, {.fuzz = opts});
+            const auto report = campaign->run();
             if (grid.empty()) {
                 for (const auto &point : report.timeline)
                     grid.push_back(point.execs);

@@ -2,7 +2,7 @@
 // budget `ci/run_tier1.sh` enforces:
 //
 //  - BM_CovmapOverhead/enabled:0|1 — end-to-end campaign throughput
-//    (the legacy single-worker loop: schedule, localize, instantiate,
+//    (a 1-worker Syzkaller campaign: schedule, localize, instantiate,
 //    execute, triage, checkpoint) with and without per-block hit
 //    recording; items/s is executions per second;
 //  - BM_CovmapRecordProgram — the exact per-execution recording work a
@@ -23,8 +23,6 @@
 
 #include "bench/common.h"
 #include "exec/executor.h"
-#include "fuzz/fuzzer.h"
-#include "mutate/localizer.h"
 #include "obs/covmap.h"
 #include "prog/gen.h"
 #include "util/rng.h"
@@ -65,9 +63,8 @@ BM_CovmapOverhead(benchmark::State &state)
         fuzz::FuzzOptions opts = spbench::evalFuzzOptions(
             kCampaignBudget, /*seed=*/9);
         opts.covmap = covmap.get();
-        fuzz::Fuzzer fuzzer(kernel, opts,
-                            std::make_unique<mut::RandomLocalizer>());
-        auto report = fuzzer.run();
+        auto report =
+            core::makeSyzkallerCampaign(kernel, {.fuzz = opts})->run();
         if (covmap != nullptr)
             covmap->finalize(report.execs);
         benchmark::DoNotOptimize(report.final_edges);

@@ -142,8 +142,9 @@ BM_FuzzThroughputSyzkaller(benchmark::State &state)
     const auto &kernel = fixtures().kernel;
     for (auto _ : state) {
         auto opts = spbench::evalFuzzOptions(4000, 9);
-        auto fuzzer = core::makeSyzkallerFuzzer(kernel, opts);
-        auto report = fuzzer->run();
+        auto campaign =
+            core::makeSyzkallerCampaign(kernel, {.fuzz = opts});
+        auto report = campaign->run();
         benchmark::DoNotOptimize(report.final_edges);
     }
     state.SetItemsProcessed(
@@ -160,9 +161,9 @@ BM_FuzzThroughputSnowplow(benchmark::State &state)
     const auto &model = spbench::sharedPmm();
     for (auto _ : state) {
         auto opts = spbench::evalFuzzOptions(4000, 9);
-        auto fuzzer = core::makeSnowplowFuzzer(
-            kernel, model, opts, spbench::evalSnowplowOptions());
-        auto report = fuzzer->run();
+        auto campaign = core::makeSnowplowCampaign(
+            kernel, model, {.fuzz = opts}, spbench::evalSnowplowOptions());
+        auto report = campaign->run();
         benchmark::DoNotOptimize(report.final_edges);
     }
     state.SetItemsProcessed(

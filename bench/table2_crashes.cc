@@ -31,15 +31,16 @@ runCampaign(const sp::kern::Kernel &kernel, bool snowplow, uint64_t seed,
             uint64_t budget)
 {
     auto opts = spbench::evalFuzzOptions(budget, seed);
-    auto fuzzer = snowplow
-                      ? sp::core::makeSnowplowFuzzer(
-                            kernel, spbench::sharedPmm(), opts,
-                            spbench::evalSnowplowOptions())
-                      : sp::core::makeSyzkallerFuzzer(kernel, opts);
-    fuzzer->run();
+    auto campaign = snowplow
+                        ? sp::core::makeSnowplowCampaign(
+                              kernel, spbench::sharedPmm(), {.fuzz = opts},
+                              spbench::evalSnowplowOptions())
+                        : sp::core::makeSyzkallerCampaign(kernel,
+                                                          {.fuzz = opts});
+    campaign->run();
     CampaignTally tally;
-    tally.new_crashes = fuzzer->crashes().newCrashes();
-    tally.known_crashes = fuzzer->crashes().knownCrashes();
+    tally.new_crashes = campaign->crashes().newCrashes();
+    tally.known_crashes = campaign->crashes().knownCrashes();
     std::fprintf(stderr, "[table2] %s seed %llu: %zu new, %zu known\n",
                  snowplow ? "snowplow" : "syzkaller",
                  static_cast<unsigned long long>(seed),

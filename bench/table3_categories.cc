@@ -35,12 +35,12 @@ main()
     fuzz::CrashLog merged(kernel);
     for (uint64_t seed : {101ull, 202ull}) {
         auto opts = spbench::evalFuzzOptions(budget, seed);
-        auto fuzzer = core::makeSnowplowFuzzer(
-            kernel, spbench::sharedPmm(), opts,
+        auto campaign = core::makeSnowplowCampaign(
+            kernel, spbench::sharedPmm(), {.fuzz = opts},
             spbench::evalSnowplowOptions());
-        fuzzer->run();
-        fuzzer->crashes().reproduceAll();
-        for (const auto &record : fuzzer->crashes().records()) {
+        campaign->run();
+        campaign->crashes().reproduceAll();
+        for (const auto &record : campaign->crashes().records()) {
             if (record.known)
                 continue;
             merged.record(record.bug_index, record.trigger,

@@ -32,14 +32,15 @@ main()
 
     kern::Kernel kernel = spbench::makeEvalKernel("6.8");
     auto opts = spbench::evalFuzzOptions(budget, 101);
-    auto fuzzer =
-        core::makeSnowplowFuzzer(kernel, spbench::sharedPmm(), opts,
-                                 spbench::evalSnowplowOptions());
-    fuzzer->run();
-    fuzzer->crashes().reproduceAll();
+    auto campaign =
+        core::makeSnowplowCampaign(kernel, spbench::sharedPmm(),
+                                   {.fuzz = opts},
+                                   spbench::evalSnowplowOptions());
+    campaign->run();
+    campaign->crashes().reproduceAll();
 
     // Order: hand-modeled paper bugs first, then other new crashes.
-    auto records = fuzzer->crashes().records();
+    auto records = campaign->crashes().records();
     std::stable_sort(records.begin(), records.end(),
                      [](const auto &a, const auto &b) {
                          auto rank = [](const fuzz::CrashRecord &r) {

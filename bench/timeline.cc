@@ -2,7 +2,7 @@
 // checkpoint budget `ci/run_tier1.sh` enforces:
 //
 //  - BM_TimelineOverhead/enabled:0|1 — end-to-end campaign throughput
-//    (the legacy single-worker loop) with and without a recorder
+//    (a 1-worker Syzkaller campaign) with and without a recorder
 //    sampling every checkpoint into a JSONL artifact; items/s is
 //    executions per second;
 //  - BM_TimelineSample — the exact per-checkpoint work the serialized
@@ -20,8 +20,6 @@
 #include <memory>
 
 #include "bench/common.h"
-#include "fuzz/fuzzer.h"
-#include "mutate/localizer.h"
 #include "obs/timeline.h"
 
 namespace {
@@ -81,9 +79,8 @@ BM_TimelineOverhead(benchmark::State &state)
         fuzz::FuzzOptions opts = spbench::evalFuzzOptions(
             kCampaignBudget, /*seed=*/9);
         opts.timeline = recorder.get();
-        fuzz::Fuzzer fuzzer(kernel, opts,
-                            std::make_unique<mut::RandomLocalizer>());
-        auto report = fuzzer.run();
+        auto report =
+            core::makeSyzkallerCampaign(kernel, {.fuzz = opts})->run();
         if (recorder != nullptr) {
             obs::TimelineTick tick;
             tick.execs = report.execs;

@@ -27,6 +27,8 @@
 #      committed BENCH_timeline.json; coordinator /status and /metrics
 #      validated against fleet_status.schema.json and the [fleet]
 #      section of metrics.required.txt
+#  11  AddressSanitizer + UndefinedBehaviorSanitizer pass over the full
+#      ctest suite (build-asan; any UB report fails the run)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -927,4 +929,13 @@ print(f"fleet compare: single-process {edges['a']} -> fleet "
       f"{edges['b']} final edges ({edges['verdict']})")
 PY
 
-echo "tier-1 + telemetry + perf + introspection + cartography + policy + timeline + fleet smoke: OK"
+# Stage 11: AddressSanitizer + UndefinedBehaviorSanitizer over every
+# ctest suite (unit suites and the example smoke runs). A separate
+# build tree, like stage 3's; UBSan halts on its first report so
+# undefined behavior fails the suite instead of scrolling by.
+cmake -B build-asan -S . -DSP_SANITIZE=address,undefined
+cmake --build build-asan -j"$(nproc)"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
+
+echo "tier-1 + telemetry + perf + introspection + cartography + policy + timeline + fleet + asan/ubsan smoke: OK"

@@ -39,16 +39,16 @@ main(int argc, char **argv)
     opts.exec_budget = budget;
     opts.seed = 7;
     opts.checkpoint_every = budget / 8;
-    auto fuzzer = trained
-                      ? core::makeSnowplowFuzzer(kernel, model, opts)
-                      : core::makeSyzkallerFuzzer(kernel, opts);
-    fuzzer->run();
+    auto campaign =
+        trained ? core::makeSnowplowCampaign(kernel, model, {.fuzz = opts})
+                : core::makeSyzkallerCampaign(kernel, {.fuzz = opts});
+    const auto report = campaign->run();
 
-    auto &log = fuzzer->crashes();
+    auto &log = campaign->crashes();
     log.reproduceAll();
     std::printf("\ncampaign: %llu executions, %zu unique crashes "
                 "(%zu new, %zu known)\n",
-                static_cast<unsigned long long>(fuzzer->execs()),
+                static_cast<unsigned long long>(report.execs),
                 log.uniqueCrashes(), log.newCrashes(),
                 log.knownCrashes());
 

@@ -39,8 +39,8 @@ main(int argc, char **argv)
     opts.exec_budget = budget;
     opts.seed = 42;
     opts.checkpoint_every = budget / 10;
-    auto fuzzer = core::makeSyzkallerFuzzer(kernel, opts);
-    auto report = fuzzer->run();
+    auto campaign = core::makeSyzkallerCampaign(kernel, {.fuzz = opts});
+    auto report = campaign->run();
 
     std::printf("\nafter %llu executions:\n",
                 static_cast<unsigned long long>(report.execs));
@@ -48,11 +48,11 @@ main(int argc, char **argv)
     std::printf("  block coverage: %zu\n", report.final_blocks);
     std::printf("  corpus size   : %zu\n", report.corpus_size);
     std::printf("  unique crashes: %zu\n",
-                fuzzer->crashes().uniqueCrashes());
+                campaign->crashes().uniqueCrashes());
 
     // 3. Reproduce and minimize the crashes we found.
-    fuzzer->crashes().reproduceAll();
-    for (const auto &record : fuzzer->crashes().records()) {
+    campaign->crashes().reproduceAll();
+    for (const auto &record : campaign->crashes().records()) {
         std::printf("\ncrash: %s (%s)\n", record.description.c_str(),
                     record.location.c_str());
         std::printf("  known=%s reproduced=%s hits=%llu\n",

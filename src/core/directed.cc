@@ -94,39 +94,51 @@ class DistanceScheduler : public fuzz::Scheduler
 
 namespace {
 
-DirectedResult
+/**
+ * One directed campaign toward `targets`: the distance scheduler steers
+ * by nearest-target distance and the run stops once every target is
+ * covered or the budget ends.
+ */
+MultiDirectedResult
 runDirected(const kern::Kernel &kernel, const DirectedOptions &opts,
-            std::unique_ptr<mut::Localizer> localizer)
+            const std::vector<uint32_t> &targets,
+            fuzz::CampaignEngine::LocalizerFactory make_localizer)
 {
-    fuzz::FuzzOptions fuzz_opts = opts.fuzz;
-    fuzz_opts.exec_budget = opts.exec_budget;
-    fuzz_opts.seed = opts.seed;
-    fuzz_opts.scheduler =
-        makeDistanceScheduler(kernel, opts.target_block);
+    fuzz::CampaignOptions campaign_opts;
+    campaign_opts.fuzz = opts.fuzz;
+    campaign_opts.fuzz.exec_budget = opts.exec_budget;
+    campaign_opts.fuzz.seed = opts.seed;
+    campaign_opts.fuzz.scheduler = makeDistanceScheduler(kernel, targets);
 
-    fuzz::Fuzzer fuzzer(kernel, std::move(fuzz_opts),
-                        std::move(localizer));
-    const uint32_t target = opts.target_block;
-    auto report = fuzzer.runUntil([target](const fuzz::Fuzzer &f) {
-        return f.corpus().totalCoverage().containsBlock(target);
+    fuzz::CampaignEngine engine(kernel, std::move(campaign_opts),
+                                std::move(make_localizer));
+    auto covered = [&engine](uint32_t block) {
+        return engine.corpus().totalCoverage().containsBlock(block);
+    };
+    const auto report = engine.run([&targets, &covered] {
+        return std::all_of(targets.begin(), targets.end(), covered);
     });
 
-    DirectedResult result;
-    result.reached =
-        fuzzer.corpus().totalCoverage().containsBlock(target);
+    MultiDirectedResult result;
     result.execs_total = report.execs;
-    result.execs_to_reach = result.reached ? report.execs : 0;
+    for (const uint32_t target : targets) {
+        if (covered(target))
+            result.reached.push_back(target);
+    }
+    return result;
+}
+
+DirectedResult
+singleTarget(const MultiDirectedResult &multi)
+{
+    DirectedResult result;
+    result.reached = !multi.reached.empty();
+    result.execs_total = multi.execs_total;
+    result.execs_to_reach = result.reached ? multi.execs_total : 0;
     return result;
 }
 
 }  // namespace
-
-std::shared_ptr<fuzz::Scheduler>
-makeDistanceScheduler(const kern::Kernel &kernel, uint32_t target)
-{
-    return std::make_shared<DistanceScheduler>(
-        distanceToBlock(kernel, target));
-}
 
 std::shared_ptr<fuzz::Scheduler>
 makeDistanceScheduler(const kern::Kernel &kernel,
@@ -139,19 +151,19 @@ makeDistanceScheduler(const kern::Kernel &kernel,
 DirectedResult
 runSyzDirect(const kern::Kernel &kernel, const DirectedOptions &opts)
 {
-    return runDirected(kernel, opts,
-                       std::make_unique<mut::RandomLocalizer>());
+    return singleTarget(runDirected(
+        kernel, opts, {opts.target_block},
+        [](size_t) -> std::unique_ptr<mut::Localizer> {
+            return std::make_unique<mut::RandomLocalizer>();
+        }));
 }
 
 DirectedResult
 runSnowplowD(const kern::Kernel &kernel, const Pmm &model,
              const DirectedOptions &opts)
 {
-    SnowplowOptions snowplow_opts;
-    snowplow_opts.directed_targets = {opts.target_block};
-    auto localizer = std::make_unique<PmmLocalizer>(kernel, model,
-                                                    std::move(snowplow_opts));
-    return runDirected(kernel, opts, std::move(localizer));
+    return singleTarget(
+        runSnowplowD(kernel, model, {opts.target_block}, opts));
 }
 
 MultiDirectedResult
@@ -162,33 +174,13 @@ runSnowplowD(const kern::Kernel &kernel, const Pmm &model,
     SP_ASSERT(!targets.empty());
     SnowplowOptions snowplow_opts;
     snowplow_opts.directed_targets = targets;
-    auto localizer = std::make_unique<PmmLocalizer>(
-        kernel, model, std::move(snowplow_opts));
-
-    fuzz::FuzzOptions fuzz_opts = opts.fuzz;
-    fuzz_opts.exec_budget = opts.exec_budget;
-    fuzz_opts.seed = opts.seed;
-    fuzz_opts.scheduler = makeDistanceScheduler(kernel, targets);
-
-    fuzz::Fuzzer fuzzer(kernel, std::move(fuzz_opts),
-                        std::move(localizer));
-    auto report = fuzzer.runUntil([&targets](const fuzz::Fuzzer &f) {
-        const auto &coverage = f.corpus().totalCoverage();
-        for (const uint32_t target : targets) {
-            if (!coverage.containsBlock(target))
-                return false;
-        }
-        return true;
-    });
-
-    MultiDirectedResult result;
-    result.execs_total = report.execs;
-    const auto &coverage = fuzzer.corpus().totalCoverage();
-    for (const uint32_t target : targets) {
-        if (coverage.containsBlock(target))
-            result.reached.push_back(target);
-    }
-    return result;
+    return runDirected(
+        kernel, opts, targets,
+        [&kernel, &model, snowplow_opts](
+            size_t) -> std::unique_ptr<mut::Localizer> {
+            return std::make_unique<PmmLocalizer>(kernel, model,
+                                                  snowplow_opts);
+        });
 }
 
 }  // namespace sp::core

@@ -4,9 +4,9 @@
  *
  * SyzDirect's essence is reproduced as a distance-guided fuzzer: a
  * static reverse-BFS distance map from the target block over the
- * kernel CFG drives choose_test (corpus entries whose coverage sits
- * closest to the target are mutated preferentially), and the campaign
- * stops the moment the target block is covered. Snowplow-D is the same
+ * kernel CFG drives the campaign's scheduler (corpus entries whose
+ * coverage sits closest to the target are mutated preferentially), and
+ * the campaign stops the moment the target block is covered. Snowplow-D is the same
  * loop with the PMM localizer in directed mode: the query marks the
  * target block (when it reaches the one-hop frontier) as the desired
  * coverage, so argument selection is steered toward the branch guarding
@@ -66,15 +66,11 @@ std::vector<uint32_t> distanceToBlocks(
 
 /**
  * Distance-guided base scheduler: corpus entries whose coverage sits
- * closest to `target` (by static reverse-BFS distance) get most of the
- * pick mass. This is the directed mode's choose_test as a Scheduler —
- * stateless after construction, so safe to share across campaign
- * workers.
+ * closest to the nearest of `targets` (by static reverse-BFS distance)
+ * get most of the pick mass. This is the directed mode's test choice
+ * as a Scheduler — stateless after construction, so safe to share
+ * across campaign workers.
  */
-std::shared_ptr<fuzz::Scheduler>
-makeDistanceScheduler(const kern::Kernel &kernel, uint32_t target);
-
-/** Multi-target distance scheduler (nearest-target distances). */
 std::shared_ptr<fuzz::Scheduler>
 makeDistanceScheduler(const kern::Kernel &kernel,
                       const std::vector<uint32_t> &targets);

@@ -1,6 +1,9 @@
 #include "fuzz/campaign.h"
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "obs/covmap.h"
@@ -15,13 +18,82 @@ namespace sp::fuzz {
 
 namespace {
 
+/** Per-lane tallies shared by every worker of one campaign. */
+struct LaneTally
+{
+    std::atomic<uint64_t> produced{0};
+    std::atomic<uint64_t> admitted{0};
+};
+
+/** State shared by every worker of one campaign run. */
+struct CampaignShared
+{
+    const FuzzOptions *opts = nullptr;
+    Corpus *corpus = nullptr;
+    CrashLog *crashes = nullptr;
+    BudgetLedger *ledger = nullptr;
+    /** The campaign's decision policy (never null once workers run):
+     *  every pick/operator/arbitration choice and every post-triage
+     *  reward goes through it. Shard merges happen in the serialized
+     *  checkpoint owner, before the checkpoints_done publish. */
+    DecisionPolicy *policy = nullptr;
+    LaneTally lanes[kMutationLanes];
+
+    /** Checkpoints appended strictly in grid order (see emit logic). */
+    std::vector<Checkpoint> board;
+    /** Checkpoints emitted so far (board.size(), published). */
+    std::atomic<uint64_t> checkpoints_done{0};
+    /** Wakes boundary owners waiting for the previous checkpoint. */
+    std::mutex checkpoint_mu;
+    std::condition_variable checkpoint_cv;
+    /** Edge count at the previous checkpoint (telemetry deltas); only
+     *  the in-order checkpoint owner touches it. */
+    size_t last_checkpoint_edges = 0;
+
+    /** CampaignEngine::run's stop predicate; empty = never. */
+    std::function<bool()> stop;
+
+    /**
+     * Mutation observer (CampaignOptions::on_mutation); null or empty
+     * = none. A pointer so per-exec hot paths test one load instead of
+     * copying a std::function per campaign.
+     */
+    const MutationObserver *observer = nullptr;
+
+    bool
+    stopped() const
+    {
+        return stop && stop();
+    }
+};
+
+/** One worker's private slice of the campaign. */
+struct WorkerEnv
+{
+    CampaignShared *shared = nullptr;
+    size_t worker_id = 0;
+    Rng *rng = nullptr;
+    exec::Executor *executor = nullptr;
+    const mut::Mutator *mutator = nullptr;
+    mut::Localizer *localizer = nullptr;
+    /** This worker's covmap shard (null = profiling off). Only this
+     *  worker writes it; the checkpoint owner reads it at merges. */
+    obs::CovShard *cov_shard = nullptr;
+
+    /** @name Filled in by the loop (worker telemetry) */
+    /** @{ */
+    uint64_t wait_us = 0;      ///< time spent in checkpoint barriers
+    uint64_t wall_us = 0;      ///< workerLoop wall time
+    /** @} */
+};
+
 /**
  * Publish a worker's current pipeline stage to the status board. One
  * relaxed load when nobody is watching (no status server, no tracer
  * watchdog) — the gate is the whole cost of an unobserved campaign.
  */
 inline void
-boardStage(const detail::WorkerEnv &env, obs::WorkerStage stage,
+boardStage(const WorkerEnv &env, obs::WorkerStage stage,
            uint64_t slot = 0)
 {
     if (obs::introspectionEnabled())
@@ -89,13 +161,13 @@ microsSince(std::chrono::steady_clock::time_point start)
  * no matter how slots interleaved across workers.
  */
 void
-maybeEmitCheckpoint(detail::WorkerEnv &env, uint64_t slot)
+maybeEmitCheckpoint(WorkerEnv &env, uint64_t slot)
 {
-    detail::CampaignShared &shared = *env.shared;
+    CampaignShared &shared = *env.shared;
     const uint64_t every = shared.opts->checkpoint_every;
     if (slot % every != 0)
         return;
-    const uint64_t target = slot / every - shared.board_base - 1;
+    const uint64_t target = slot / every - 1;
 
     boardStage(env, obs::WorkerStage::Checkpoint, slot);
     if (shared.ledger->prefixCompleted() < slot ||
@@ -184,13 +256,13 @@ maybeEmitCheckpoint(detail::WorkerEnv &env, uint64_t slot)
  * grid as everything else.
  */
 bool
-executeSlot(detail::WorkerEnv &env, const prog::Prog &program,
+executeSlot(WorkerEnv &env, const prog::Prog &program,
             MutationLane lane, const mut::ArgLocation *site,
             bool bounded, int arm = -1,
             const prog::Prog *base = nullptr,
             const exec::ExecResult *base_result = nullptr)
 {
-    detail::CampaignShared &shared = *env.shared;
+    CampaignShared &shared = *env.shared;
     const BudgetGrant grant = shared.ledger->claim(1, bounded);
     if (grant.empty())
         return false;
@@ -202,9 +274,6 @@ executeSlot(detail::WorkerEnv &env, const prog::Prog &program,
         for (const auto &call : result.calls)
             env.cov_shard->recordTrace(call.blocks);
     }
-    ++env.local_execs;
-    if (env.execs_out != nullptr)
-        *env.execs_out = slot;
 
     boardStage(env, obs::WorkerStage::Triage, slot);
     size_t new_edges = 0;
@@ -226,7 +295,7 @@ executeSlot(detail::WorkerEnv &env, const prog::Prog &program,
         shared.policy->recordReward(env.worker_id, arm, reward);
     }
 
-    detail::LaneTally &tally = shared.lanes[laneIndex(lane)];
+    LaneTally &tally = shared.lanes[laneIndex(lane)];
     tally.produced.fetch_add(1, std::memory_order_relaxed);
     if (admitted)
         tally.admitted.fetch_add(1, std::memory_order_relaxed);
@@ -337,13 +406,16 @@ makeScheduler(const FuzzOptions &opts)
 {
     if (opts.scheduler)
         return opts.scheduler;
-    if (opts.choose_test)
-        return std::make_shared<HookScheduler>(opts.choose_test);
     return std::make_shared<RecencyScheduler>();
 }
 
-namespace detail {
+namespace {
 
+/**
+ * Seed stage: generate `seed_corpus_size` programs from the worker's
+ * RNG and execute them (unbounded claims — the whole corpus is seeded
+ * even when the budget is smaller).
+ */
 void
 seedStage(WorkerEnv &env, const kern::Kernel &kernel)
 {
@@ -373,6 +445,8 @@ seedStage(WorkerEnv &env, const kern::Kernel &kernel)
                     /*bounded=*/false, /*arm=*/-1);
 }
 
+/** The staged mutation pipeline; returns when the budget is spent or
+ *  the campaign's stop predicate fires. */
 void
 workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
 {
@@ -508,17 +582,21 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
     env.wall_us += microsSince(loop_start);
 }
 
+/**
+ * Assemble the FuzzReport, set the end-of-run gauges and emit the
+ * `campaign_summary` telemetry event (with final crash and per-lane
+ * admission totals). `execs` is the campaign's completed slot count,
+ * `wall_sec` its wall-clock duration.
+ */
 FuzzReport
-finalizeCampaign(const CampaignShared &shared,
-                 const std::vector<Checkpoint> &timeline,
-                 uint64_t total_execs, uint64_t campaign_execs,
+finalizeCampaign(const CampaignShared &shared, uint64_t execs,
                  double wall_sec, size_t workers)
 {
     FuzzReport report;
-    report.timeline = timeline;
+    report.timeline = shared.board;
     report.final_edges = shared.corpus->totalCoverage().edgeCount();
     report.final_blocks = shared.corpus->totalCoverage().blockCount();
-    report.execs = total_execs;
+    report.execs = execs;
     report.corpus_size = shared.corpus->size();
     report.final_crashes = shared.crashes->uniqueCrashes();
     for (size_t lane = 0; lane < kMutationLanes; ++lane) {
@@ -529,7 +607,7 @@ finalizeCampaign(const CampaignShared &shared,
     }
 
     const double execs_per_sec =
-        wall_sec > 0.0 ? static_cast<double>(campaign_execs) / wall_sec
+        wall_sec > 0.0 ? static_cast<double>(execs) / wall_sec
                        : 0.0;
     FuzzMetrics &metrics = FuzzMetrics::get();
     auto rate = [](const obs::Counter &hit, const obs::Counter &total) {
@@ -552,7 +630,7 @@ finalizeCampaign(const CampaignShared &shared,
     if (auto *sink = obs::sink()) {
         sink->event(
             "campaign_summary",
-            {{"execs", campaign_execs},
+            {{"execs", execs},
              {"wall_sec", wall_sec},
              {"execs_per_sec", execs_per_sec},
              {"final_edges", report.final_edges},
@@ -574,15 +652,15 @@ finalizeCampaign(const CampaignShared &shared,
     return report;
 }
 
-}  // namespace detail
-
-namespace {
-
 CampaignOptions
 normalized(CampaignOptions options)
 {
     if (options.workers == 0)
         options.workers = 1;
+    // A zero checkpoint grid (e.g. budget / 10 on a tiny budget) would
+    // divide by zero at every slot; the ledger already aligns to >= 1.
+    if (options.fuzz.checkpoint_every == 0)
+        options.fuzz.checkpoint_every = 1;
     return options;
 }
 
@@ -603,7 +681,8 @@ CampaignEngine::CampaignEngine(const kern::Kernel &kernel,
     localizers_.reserve(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
         // Worker 0's stream is the campaign seed itself, so a 1-worker
-        // campaign draws exactly like the legacy Fuzzer.
+        // campaign draws exactly like the historical single-threaded
+        // loop (the policy_test goldens).
         rngs_.push_back(
             std::make_unique<Rng>(splitSeed(opts_.fuzz.seed, w)));
         auto localizer = make_localizer(w);
@@ -614,7 +693,7 @@ CampaignEngine::CampaignEngine(const kern::Kernel &kernel,
 }
 
 FuzzReport
-CampaignEngine::run()
+CampaignEngine::run(const std::function<bool()> &stop)
 {
     SP_ASSERT(!ran_, "CampaignEngine::run is one-shot");
     ran_ = true;
@@ -666,10 +745,11 @@ CampaignEngine::run()
     if (opts_.fuzz.timeline != nullptr)
         opts_.fuzz.timeline->rebaseline();
 
-    detail::CampaignShared shared;
+    CampaignShared shared;
     shared.opts = &opts_.fuzz;
     shared.corpus = &corpus_;
     shared.crashes = &crashes_;
+    shared.stop = stop;
     policy_->beginCampaign(opts_.workers);
     shared.policy = policy_.get();
     if (opts_.on_mutation)
@@ -728,9 +808,9 @@ CampaignEngine::run()
         }
     } provider_guard{campaign_status};
 
-    std::vector<detail::WorkerEnv> envs(opts_.workers);
+    std::vector<WorkerEnv> envs(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
-        detail::WorkerEnv &env = envs[w];
+        WorkerEnv &env = envs[w];
         env.shared = &shared;
         env.worker_id = w;
         env.rng = rngs_[w].get();
@@ -747,7 +827,7 @@ CampaignEngine::run()
     // thread exists — the generated corpus and its admission order are
     // deterministic regardless of worker count.
     if (corpus_.empty())
-        detail::seedStage(envs[0], kernel_);
+        seedStage(envs[0], kernel_);
 
     // Mutation stages: workers 1..N-1 on threads, worker 0 here (a
     // 1-worker campaign therefore never spawns a thread).
@@ -755,14 +835,14 @@ CampaignEngine::run()
     threads.reserve(opts_.workers - 1);
     for (size_t w = 1; w < opts_.workers; ++w) {
         threads.emplace_back(
-            [this, &envs, w] { detail::workerLoop(envs[w], kernel_); });
+            [this, &envs, w] { workerLoop(envs[w], kernel_); });
     }
-    detail::workerLoop(envs[0], kernel_);
+    workerLoop(envs[0], kernel_);
     for (auto &thread : threads)
         thread.join();
 
     for (size_t w = 0; w < opts_.workers; ++w) {
-        const detail::WorkerEnv &env = envs[w];
+        const WorkerEnv &env = envs[w];
         const double busy =
             env.wall_us > 0
                 ? static_cast<double>(env.wall_us - env.wait_us) /
@@ -776,10 +856,8 @@ CampaignEngine::run()
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    return detail::finalizeCampaign(shared, shared.board,
-                                    ledger.completed(),
-                                    ledger.completed(), wall_sec,
-                                    opts_.workers);
+    return finalizeCampaign(shared, ledger.completed(), wall_sec,
+                            opts_.workers);
 }
 
 }  // namespace sp::fuzz

@@ -7,14 +7,14 @@
  *     schedule → localize → instantiate → execute → triage/admit
  *              → checkpoint
  *
- * — run by one or more workers over shared campaign state. The legacy
- * single-threaded `Fuzzer` (fuzzer.h) drives exactly one worker over
- * these stages; `CampaignEngine` runs N of them on threads:
+ * — run by `CampaignEngine`, the one campaign entry point, over N
+ * workers (worker 0 on the calling thread, the rest on threads):
  *
  *  - the Corpus is sharded (one shard per worker) and thread-safe;
  *  - each worker owns a deterministic RNG stream split from the
  *    campaign seed (worker 0's stream IS the campaign seed, so a
- *    1-worker engine is bit-for-bit the legacy loop), its own
+ *    1-worker campaign draws exactly like the historical
+ *    single-threaded loop — tests/policy_test.cc pins it), its own
  *    executor from an exec::ExecutorPool, and its own localizer
  *    (built by a per-worker factory so learned localizers can share
  *    one InferenceService and one prediction cache);
@@ -31,19 +31,17 @@
 #ifndef SP_FUZZ_CAMPAIGN_H
 #define SP_FUZZ_CAMPAIGN_H
 
-#include <atomic>
-#include <condition_variable>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
+#include "fuzz/crash.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/policy.h"
 #include "fuzz/sched.h"
 
 namespace sp::obs {
 class CovMap;
-class CovShard;
 struct TimelineTick;
 }
 
@@ -80,10 +78,9 @@ exec::ExecOptions execOptionsFor(const FuzzOptions &opts);
 
 /**
  * Build the effective scheduler for `opts`: `opts.scheduler` if set,
- * a HookScheduler over `opts.choose_test` if set, else the
- * recency-biased default. Consumed by StaticPolicy (policy.h) as its
- * pick adapter — the schedulers are no longer dispatched by the loop
- * itself.
+ * else the recency-biased default. Consumed by StaticPolicy
+ * (policy.h) as its pick adapter — the schedulers are no longer
+ * dispatched by the loop itself.
  */
 std::shared_ptr<Scheduler> makeScheduler(const FuzzOptions &opts);
 
@@ -100,115 +97,11 @@ obs::TimelineTick makeTimelineTick(const Checkpoint &cp,
                                    const obs::CovMap *covmap,
                                    const DecisionPolicy *policy);
 
-namespace detail {
-
-/** Per-lane tallies shared by every worker of one campaign. */
-struct LaneTally
-{
-    std::atomic<uint64_t> produced{0};
-    std::atomic<uint64_t> admitted{0};
-};
-
-/**
- * State shared by every worker of one campaign run (for the legacy
- * Fuzzer, the "campaign" is one runUntil call with a single worker).
- */
-struct CampaignShared
-{
-    const FuzzOptions *opts = nullptr;
-    Corpus *corpus = nullptr;
-    CrashLog *crashes = nullptr;
-    BudgetLedger *ledger = nullptr;
-    /** The campaign's decision policy (never null once workers run):
-     *  every pick/operator/arbitration choice and every post-triage
-     *  reward goes through it. Shard merges happen in the serialized
-     *  checkpoint owner, before the checkpoints_done publish. */
-    DecisionPolicy *policy = nullptr;
-    LaneTally lanes[kMutationLanes];
-
-    /** Checkpoints appended strictly in grid order (see emit logic). */
-    std::vector<Checkpoint> board;
-    /** Checkpoints emitted so far (board.size(), published). */
-    std::atomic<uint64_t> checkpoints_done{0};
-    /** Wakes boundary owners waiting for the previous checkpoint. */
-    std::mutex checkpoint_mu;
-    std::condition_variable checkpoint_cv;
-    /** Grid ordinal of board[0] (non-zero on legacy fuzzer reruns). */
-    uint64_t board_base = 0;
-    /** Edge count at the previous checkpoint (telemetry deltas); only
-     *  the in-order checkpoint owner touches it. */
-    size_t last_checkpoint_edges = 0;
-
-    /** Optional stop predicate (legacy runUntil); empty = never. */
-    std::function<bool()> stop;
-
-    /**
-     * Mutation observer (CampaignOptions::on_mutation); null or empty
-     * = none. A pointer so per-exec hot paths test one load instead of
-     * copying a std::function per campaign.
-     */
-    const MutationObserver *observer = nullptr;
-
-    bool
-    stopped() const
-    {
-        return stop && stop();
-    }
-};
-
-/** One worker's private slice of the campaign. */
-struct WorkerEnv
-{
-    CampaignShared *shared = nullptr;
-    size_t worker_id = 0;
-    Rng *rng = nullptr;
-    exec::Executor *executor = nullptr;
-    const mut::Mutator *mutator = nullptr;
-    mut::Localizer *localizer = nullptr;
-    /** This worker's covmap shard (null = profiling off). Only this
-     *  worker writes it; the checkpoint owner reads it at merges. */
-    obs::CovShard *cov_shard = nullptr;
-    /** Mirror of the execution counter (legacy Fuzzer::execs_). */
-    uint64_t *execs_out = nullptr;
-
-    /** @name Filled in by the loop (worker telemetry) */
-    /** @{ */
-    uint64_t local_execs = 0;  ///< slots this worker executed
-    uint64_t wait_us = 0;      ///< time spent in checkpoint barriers
-    uint64_t wall_us = 0;      ///< workerLoop wall time
-    /** @} */
-};
-
-/**
- * Seed stage: generate `seed_corpus_size` programs from the worker's
- * RNG and execute them (unbounded claims — the legacy loop seeds its
- * whole corpus even when the budget is smaller).
- */
-void seedStage(WorkerEnv &env, const kern::Kernel &kernel);
-
-/** The staged mutation pipeline; returns when the budget is spent or
- *  the campaign's stop predicate fires. */
-void workerLoop(WorkerEnv &env, const kern::Kernel &kernel);
-
-/**
- * Assemble the FuzzReport, set the end-of-run gauges and emit the
- * `campaign_summary` telemetry event (with final crash and per-lane
- * admission totals). `timeline` is the full campaign timeline,
- * `campaign_execs` the executions of this run, `wall_sec` its
- * wall-clock duration.
- */
-FuzzReport finalizeCampaign(const CampaignShared &shared,
-                            const std::vector<Checkpoint> &timeline,
-                            uint64_t total_execs,
-                            uint64_t campaign_execs, double wall_sec,
-                            size_t workers);
-
-}  // namespace detail
-
 /** Campaign-engine configuration. */
 struct CampaignOptions
 {
-    /** Worker threads; 1 reproduces the legacy loop bit-for-bit. */
+    /** Worker threads; 1 runs the whole campaign on the calling
+     *  thread and is bit-reproducible for a given seed. */
     size_t workers = 1;
     FuzzOptions fuzz;
     /**
@@ -216,7 +109,7 @@ struct CampaignOptions
      * worker threads; see MutationEvent's contract). Feeds continual
      * dataset harvesting without the fuzz layer knowing about it.
      */
-    MutationObserver on_mutation;
+    MutationObserver on_mutation{};
 };
 
 /**
@@ -234,10 +127,18 @@ class CampaignEngine
     CampaignEngine(const kern::Kernel &kernel, CampaignOptions options,
                    LocalizerFactory make_localizer);
 
-    /** Run the campaign to budget exhaustion. Call at most once. */
-    FuzzReport run();
+    /**
+     * Run the campaign until the budget is spent or `stop` returns
+     * true. Call at most once. Each worker polls `stop` before every
+     * mutation round and after the mutants of every localized site
+     * (directed mode stops on reaching its targets); with more than
+     * one worker it is called concurrently, so it must be thread-safe.
+     * Empty = run to budget exhaustion.
+     */
+    FuzzReport run(const std::function<bool()> &stop = {});
 
-    /** @name Introspection (quiescent: before run() or after) */
+    /** @name Introspection (quiescent: before run(), after it, or from
+     *  a 1-worker campaign's `stop` predicate) */
     /** @{ */
     const Corpus &corpus() const { return corpus_; }
     CrashLog &crashes() { return crashes_; }

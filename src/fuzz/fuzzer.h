@@ -1,32 +1,28 @@
 /**
  * @file
- * The coverage-guided fuzzing loop (Figure 1 of the paper).
+ * Configuration and results of the coverage-guided fuzzing loop
+ * (Figure 1 of the paper).
  *
- * One Fuzzer owns an executor, a corpus, a crash log and a mutation
- * engine. Each iteration runs the staged pipeline shared with the
- * multi-worker campaign engine (campaign.h): schedule (pick a base
- * test), localize (ask the pluggable Localizer where to mutate
- * arguments), instantiate, execute, triage/admit, checkpoint. Call
- * insertion/removal mutations run alongside with their Syzkaller
- * weights. Swapping the Localizer is exactly how Snowplow is built on
- * top of this loop (src/core/snowplow.h).
+ * The loop itself is fuzz::CampaignEngine (campaign.h): each round
+ * runs schedule (pick a base test), localize (ask the pluggable
+ * Localizer where to mutate arguments), instantiate, execute,
+ * triage/admit, checkpoint, with call insertion/removal mutations
+ * alongside at their Syzkaller weights. Swapping the Localizer is
+ * exactly how Snowplow is built on top of this loop
+ * (src/core/snowplow.h).
  *
  * Time is virtual: the budget is counted in executed programs, the
  * resource both compared systems share (§5.3's same-machine-cost
  * comparison). Coverage is checkpointed on a fixed execution grid so
- * runs are directly comparable. The Fuzzer itself stays
- * single-threaded; CampaignEngine runs the same stages over N workers
- * and reproduces this loop bit-for-bit at `workers = 1`.
+ * runs are directly comparable.
  */
 #ifndef SP_FUZZ_FUZZER_H
 #define SP_FUZZ_FUZZER_H
 
 #include <array>
-#include <functional>
 #include <memory>
 
 #include "fuzz/corpus.h"
-#include "fuzz/crash.h"
 #include "fuzz/policy.h"
 #include "fuzz/sched.h"
 #include "mutate/mutator.h"
@@ -52,7 +48,7 @@ struct FuzzOptions
     std::vector<prog::Prog> injected_seeds;
     uint64_t seed = 1;
     bool noisy = true;                ///< nondeterministic execution
-    uint64_t checkpoint_every = 500;  ///< coverage timeline grid
+    uint64_t checkpoint_every = 500;  ///< coverage timeline grid (0 = 1)
     /** Instantiations per localized argument site. */
     size_t mutations_per_site = 3;
     /** Max argument sites requested from the localizer per base. */
@@ -68,19 +64,14 @@ struct FuzzOptions
      */
     PolicyOptions policy;
     /**
-     * Optional scheduler (Figure 1's choose_test as a stage): picks the
+     * Optional scheduler (Figure 1's test choice as a stage): picks the
      * corpus entry to mutate. Consumed by StaticPolicy as its pick
      * adapter (ignored by ThompsonPolicy, which schedules from the
      * posterior). Shared across campaign workers, so implementations
-     * must be safe for concurrent pick() calls. When unset,
-     * `choose_test` (below) or the recency-biased default runs.
+     * must be safe for concurrent pick() calls. When unset, the
+     * recency-biased default runs.
      */
     std::shared_ptr<Scheduler> scheduler;
-    /**
-     * Legacy choose_test hook; wrapped in a HookScheduler when
-     * `scheduler` is unset. Prefer `scheduler` for new code.
-     */
-    std::function<const CorpusEntry &(const Corpus &, Rng &)> choose_test;
     /**
      * Optional coverage-cartography accumulator (obs/covmap.h, not
      * owned; must outlive the run). Workers record per-call block
@@ -154,52 +145,6 @@ struct FuzzReport
     {
         return lanes[laneIndex(which)];
     }
-};
-
-/** The single-threaded fuzzing loop. */
-class Fuzzer
-{
-  public:
-    /**
-     * @param kernel     kernel under test
-     * @param options    loop configuration
-     * @param localizer  argument-mutation localizer (ownership taken)
-     */
-    Fuzzer(const kern::Kernel &kernel, FuzzOptions options,
-           std::unique_ptr<mut::Localizer> localizer);
-
-    /** Run until the execution budget is exhausted. */
-    FuzzReport run();
-
-    /**
-     * Run until `stop` returns true or the budget is exhausted. The
-     * predicate sees the fuzzer after every execution (directed mode
-     * uses this to stop on reaching the target).
-     */
-    FuzzReport runUntil(const std::function<bool(const Fuzzer &)> &stop);
-
-    /** @name Introspection */
-    /** @{ */
-    const Corpus &corpus() const { return corpus_; }
-    CrashLog &crashes() { return crashes_; }
-    const CrashLog &crashes() const { return crashes_; }
-    uint64_t execs() const { return execs_; }
-    const kern::Kernel &kernel() const { return kernel_; }
-    /** @} */
-
-  private:
-    const kern::Kernel &kernel_;
-    FuzzOptions opts_;
-    std::unique_ptr<mut::Localizer> localizer_;
-    std::shared_ptr<DecisionPolicy> policy_;
-    mut::Mutator mutator_;
-    exec::Executor executor_;
-    Corpus corpus_;
-    CrashLog crashes_;
-    Rng rng_;
-    uint64_t execs_ = 0;
-    std::vector<Checkpoint> timeline_;
-    size_t last_checkpoint_edges_ = 0;  ///< telemetry edge deltas
 };
 
 }  // namespace sp::fuzz

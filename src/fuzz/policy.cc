@@ -94,8 +94,6 @@ DecisionPolicy::beginCampaign(size_t workers)
 {
     if (workers == 0)
         workers = 1;
-    if (shards_.size() >= workers)
-        return;  // keep accumulated posterior (legacy runUntil reruns)
     const size_t arms = armCount();
     shards_.reserve(workers);
     while (shards_.size() < workers) {

@@ -30,8 +30,7 @@
  * campaign's posterior evolution is bit-for-bit reproducible).
  *
  * StaticPolicy ports the historical behavior exactly — the configured
- * Scheduler (recency default, choose_test hook, directed distance) does
- * the pick, the operator comes from Mutator::selectType, and use_pmm is
+ * Scheduler (recency default or directed distance) does the pick, the operator comes from Mutator::selectType, and use_pmm is
  * one `rng.chance(pmm_fallback_prob)` draw in the legacy stream
  * position — so the default policy reproduces the pre-policy timeline
  * bit-for-bit. ThompsonPolicy replaces all three with Beta-Bernoulli
@@ -148,9 +147,9 @@ class DecisionPolicy
                                            const prog::Prog &prog) = 0;
 
     /**
-     * Size the per-worker reward shards. Called once before workers
-     * start; idempotent for the same worker count (repeated
-     * Fuzzer::runUntil calls keep their posterior).
+     * Size the per-worker reward shards. Called once per campaign,
+     * before workers start (policies are campaign-scoped: each
+     * CampaignEngine builds its own).
      */
     void beginCampaign(size_t workers);
 
@@ -229,8 +228,8 @@ class DecisionPolicy
 
 /**
  * The historical behavior behind the seam: scheduler-driven pick
- * (recency default / choose_test hook / directed distance — the old
- * Scheduler implementations become adapters here), selector-weight
+ * (recency default / directed distance — the Scheduler
+ * implementations are its pick adapters), selector-weight
  * operator choice, and the fixed §3.4 fallback probability. With the
  * legacy RNG draw order preserved exactly, a 1-worker StaticPolicy
  * campaign reproduces the pre-policy timeline bit-for-bit.

@@ -139,12 +139,11 @@ TEST(AsyncLocalizer, FuzzerIntegrationRuns)
     Pmm model(config);
     InferenceService service(model, 2);
 
-    fuzz::FuzzOptions opts;
-    opts.exec_budget = 1500;
-    opts.seed = 3;
-    opts.seed_corpus_size = 12;
-    auto fuzzer = makeAsyncSnowplowFuzzer(kernel, service, opts);
-    auto report = fuzzer->run();
+    fuzz::CampaignOptions opts;
+    opts.fuzz.exec_budget = 1500;
+    opts.fuzz.seed = 3;
+    opts.fuzz.seed_corpus_size = 12;
+    auto report = makeAsyncSnowplowCampaign(kernel, service, opts)->run();
     EXPECT_EQ(report.execs, 1500u);
     EXPECT_GT(report.final_edges, 50u);
 }

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/snowplow.h"
-#include "fuzz/fuzzer.h"
+#include "fuzz/campaign.h"
 #include "kernel/subsystems.h"
 #include "prog/gen.h"
 
@@ -141,18 +141,17 @@ TEST(CrashLog, ReproducesDeterministicCrashAndMinimizes)
     EXPECT_EQ(record.reproducer.calls[1].decl->name, "ioctl$scsi");
 }
 
-TEST(Fuzzer, MakesProgressWithinBudget)
+TEST(FuzzLoop, MakesProgressWithinBudget)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 3000;
-    opts.seed_corpus_size = 20;
-    opts.seed = 9;
-    opts.checkpoint_every = 500;
-    auto fuzzer = core::makeSyzkallerFuzzer(kernel, opts);
-    auto report = fuzzer->run();
+    CampaignOptions campaign_opts;
+    campaign_opts.fuzz.exec_budget = 3000;
+    campaign_opts.fuzz.seed_corpus_size = 20;
+    campaign_opts.fuzz.seed = 9;
+    campaign_opts.fuzz.checkpoint_every = 500;
+    auto report = core::makeSyzkallerCampaign(kernel, campaign_opts)->run();
 
-    EXPECT_EQ(report.execs, opts.exec_budget);
+    EXPECT_EQ(report.execs, campaign_opts.fuzz.exec_budget);
     EXPECT_GT(report.final_edges, 100u);
     EXPECT_GE(report.corpus_size, 10u);
     ASSERT_GE(report.timeline.size(), 2u);
@@ -165,77 +164,49 @@ TEST(Fuzzer, MakesProgressWithinBudget)
     EXPECT_GT(report.final_edges, report.timeline.front().edges);
 }
 
-TEST(Fuzzer, DeterministicGivenSeed)
+TEST(FuzzLoop, DifferentSeedsExploreDifferently)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 1500;
-    opts.seed_corpus_size = 15;
-    opts.seed = 33;
-    auto a = core::makeSyzkallerFuzzer(kernel, opts)->run();
-    auto b = core::makeSyzkallerFuzzer(kernel, opts)->run();
-    EXPECT_EQ(a.final_edges, b.final_edges);
-    EXPECT_EQ(a.corpus_size, b.corpus_size);
-}
-
-TEST(Fuzzer, DifferentSeedsExploreDifferently)
-{
-    const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 1500;
-    opts.seed_corpus_size = 15;
-    opts.seed = 1;
-    auto a = core::makeSyzkallerFuzzer(kernel, opts)->run();
-    opts.seed = 2;
-    auto b = core::makeSyzkallerFuzzer(kernel, opts)->run();
+    CampaignOptions campaign_opts;
+    campaign_opts.fuzz.exec_budget = 1500;
+    campaign_opts.fuzz.seed_corpus_size = 15;
+    campaign_opts.fuzz.seed = 1;
+    auto a = core::makeSyzkallerCampaign(kernel, campaign_opts)->run();
+    campaign_opts.fuzz.seed = 2;
+    auto b = core::makeSyzkallerCampaign(kernel, campaign_opts)->run();
     EXPECT_NE(a.final_edges, b.final_edges);
 }
 
-TEST(Fuzzer, RunUntilStopsEarly)
+TEST(FuzzLoop, StopPredicateEndsTheRunEarly)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 100000;
-    opts.seed_corpus_size = 10;
-    opts.seed = 3;
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<mut::RandomLocalizer>());
-    auto report = fuzzer.runUntil(
-        [](const Fuzzer &f) { return f.execs() >= 700; });
+    CampaignOptions campaign_opts;
+    campaign_opts.fuzz.exec_budget = 100000;
+    campaign_opts.fuzz.seed_corpus_size = 10;
+    campaign_opts.fuzz.seed = 3;
+    // The observer sees every argument-lane mutant's slot, which is
+    // what the predicate watches.
+    uint64_t last_slot = 0;
+    campaign_opts.on_mutation = [&last_slot](const MutationEvent &event) {
+        last_slot = event.slot;
+    };
+    auto campaign = core::makeSyzkallerCampaign(kernel, campaign_opts);
+    auto report = campaign->run([&last_slot] { return last_slot >= 700; });
     EXPECT_LT(report.execs, 2000u);
     EXPECT_GE(report.execs, 700u);
+    EXPECT_LE(report.timeline.back().execs, report.execs);
 }
 
-TEST(Fuzzer, FindsShallowCrashes)
+TEST(FuzzLoop, FindsShallowCrashes)
 {
     const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 8000;
-    opts.seed_corpus_size = 30;
-    opts.seed = 12;
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<mut::RandomLocalizer>());
-    fuzzer.run();
-    EXPECT_GT(fuzzer.crashes().uniqueCrashes(), 0u);
-}
-
-TEST(Fuzzer, ChooseTestHookIsHonored)
-{
-    const auto &kernel = testKernel();
-    FuzzOptions opts;
-    opts.exec_budget = 1200;
-    opts.seed_corpus_size = 10;
-    opts.seed = 5;
-    size_t hook_calls = 0;
-    opts.choose_test = [&hook_calls](const Corpus &corpus,
-                                     Rng &rng) -> const CorpusEntry & {
-        ++hook_calls;
-        return corpus.entry(rng.below(corpus.size()));
-    };
-    Fuzzer fuzzer(kernel, opts,
-                  std::make_unique<mut::RandomLocalizer>());
-    fuzzer.run();
-    EXPECT_GT(hook_calls, 10u);
+    CampaignOptions campaign_opts;
+    campaign_opts.fuzz.exec_budget = 8000;
+    campaign_opts.fuzz.seed_corpus_size = 30;
+    campaign_opts.fuzz.seed = 12;
+    auto campaign = core::makeSyzkallerCampaign(kernel, campaign_opts);
+    campaign->run();
+    EXPECT_GT(campaign->crashes().uniqueCrashes(), 0u);
 }
 
 }  // namespace
