@@ -52,7 +52,8 @@ makeCovMap(size_t workers)
 
 // One full campaign per iteration: covmap construction, recording at
 // the execute stage and the per-checkpoint merges are all included,
-// exactly what `fuzz --covmap-out` adds over a plain `fuzz`.
+// the coverage-map share of what `fuzz --timeline-out` adds over a
+// plain `fuzz`.
 void
 BM_CovmapOverhead(benchmark::State &state)
 {

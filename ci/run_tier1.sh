@@ -13,8 +13,8 @@
 #   4  perf gates: NN/trace/exec micro benches + covmap overhead
 #   5  introspection smoke: /metrics /status /coverage /timeline
 #      scraped over HTTP, trace_event export validated
-#   6  coverage-cartography round trip (covmap log -> analyze ->
-#      fuzz --directed-from)
+#   6  coverage-cartography round trip (timeline with its cov_map ->
+#      analyze -> fuzz --directed-from)
 #   7  dataset store round trip + streaming-training parity
 #   8  decision-policy ablation sweep gate (thompson >= static)
 #   9  timeline observatory: artifact/report schema checks, compare
@@ -233,22 +233,20 @@ PY
 # covering the pipeline.
 trace_json=$(mktemp /tmp/sp_ci_trace.XXXXXX.json)
 introspect=$(mktemp /tmp/sp_ci_introspect.XXXXXX.jsonl)
-cov_live=$(mktemp /tmp/sp_ci_covlive.XXXXXX.jsonl)
 tl_live=$(mktemp /tmp/sp_ci_tllive.XXXXXX.jsonl)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$tl_live"' EXIT
-python3 - "$trace_json" "$introspect" "$cov_live" "$tl_live" <<'PY'
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$tl_live"' EXIT
+python3 - "$trace_json" "$introspect" "$tl_live" <<'PY'
 import json
 import re
 import subprocess
 import sys
 import urllib.request
 
-trace_path, metrics_path, covmap_path, timeline_path = sys.argv[1:5]
+trace_path, metrics_path, timeline_path = sys.argv[1:4]
 proc = subprocess.Popen(
     ["./build/examples/snowplow_cli", "fuzz",
      "--budget", "5000", "--seed", "1", "--workers", "4",
      "--metrics-out", metrics_path,
-     "--covmap-out", covmap_path,
      "--timeline-out", timeline_path,
      "--trace-out", trace_path, "--trace-sample", "1",
      "--status-port", "0", "--status-hold", "1"],
@@ -321,7 +319,7 @@ if get("/healthz").strip() != "ok":
 # process idles in --status-hold.
 coverage = json.loads(get("/coverage"))
 if coverage.get("enabled") is not True:
-    sys.exit("/coverage: not enabled despite --covmap-out")
+    sys.exit("/coverage: not enabled despite --timeline-out")
 for key in ("execs", "windows", "blocks_hit", "edges_hit",
             "frontier_size", "frontier"):
     if key not in coverage:
@@ -377,14 +375,15 @@ print(f"introspection smoke: port {port}, {len(status['workers'])} "
 PY
 
 # Stage 6: coverage-cartography round trip — profile a short campaign
-# (--covmap-out), validate the snapshot log against its checked-in
-# schema, run `analyze` and validate the report, then feed the ranked
-# cold-frontier targets back through `fuzz --directed-from`.
+# (--timeline-out, whose final record carries the cov_map), validate
+# the artifact against its checked-in schema, run `analyze` and
+# validate the report, then feed the ranked cold-frontier targets back
+# through `fuzz --directed-from`.
 cov_log=$(mktemp /tmp/sp_ci_covlog.XXXXXX.jsonl)
 cov_report=$(mktemp /tmp/sp_ci_covreport.XXXXXX.json)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$cov_log" "$cov_report"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$tl_live" "$cov_log" "$cov_report"' EXIT
 ./build/examples/snowplow_cli fuzz --budget 5000 --seed 1 --workers 2 \
-    --covmap-out "$cov_log" > /dev/null
+    --timeline-out "$cov_log" > /dev/null
 ./build/examples/snowplow_cli analyze "$cov_log" --seed 1 \
     --targets 16 --out "$cov_report" \
     | grep -q 'cold-frontier targets' || {
@@ -393,58 +392,13 @@ python3 - "$cov_log" "$cov_report" <<'PY'
 import json
 import sys
 
+sys.path.insert(0, "ci")
+from timeline_check import check, validate_timeline
+
 log_path, report_path = sys.argv[1], sys.argv[2]
-TYPES = {"int": int, "str": str, "list": list, "dict": dict,
-         "bool": bool}
-
-def check(obj, spec, where):
-    for key, type_name in spec.items():
-        if key not in obj:
-            sys.exit(f"{where}: missing key {key!r}")
-        value = obj[key]
-        if not isinstance(value, TYPES[type_name]) or (
-                type_name == "int" and isinstance(value, bool)):
-            sys.exit(f"{where}.{key} is not {type_name}")
-
-# --- snapshot log: header, windows, final --------------------------
-with open("ci/schemas/covmap_log.schema.json") as f:
-    log_schema = json.load(f)
-with open(log_path) as f:
-    lines = [json.loads(line) for line in f]
-if len(lines) < 3:
-    sys.exit(f"{log_path}: expected header + windows + final")
-header, windows, final = lines[0], lines[1:-1], lines[-1]
-
-check(header, log_schema["header"], "covmap_header")
-if header["type"] != "covmap_header":
-    sys.exit("covmap log: first line is not covmap_header")
-if header["version"] != log_schema["version"]:
-    sys.exit(f"covmap log: version {header['version']} unsupported")
-if len(header["edges"]) != header["num_edges"]:
-    sys.exit("covmap log: edges length != num_edges")
-for pair in header["edges"]:
-    if not (isinstance(pair, list) and len(pair) == 2):
-        sys.exit(f"covmap log: malformed edge {pair!r}")
-
-hits = [0] * header["num_blocks"]
-for i, window in enumerate(windows):
-    check(window, log_schema["window"], f"window[{i}]")
-    if window["type"] != "covmap_window":
-        sys.exit(f"covmap log: line {i + 2} is not covmap_window")
-    for index, delta in window["block_deltas"]:
-        if delta <= 0:
-            sys.exit(f"window[{i}]: non-positive block delta")
-        hits[index] += delta
-
-check(final, log_schema["final"], "covmap_final")
-if final["type"] != "covmap_final":
-    sys.exit("covmap log: last line is not covmap_final")
-if final["windows"] != len(windows):
-    sys.exit("covmap log: final window count disagrees")
-reached = sum(1 for h in hits if h)
-if reached != final["blocks_hit"]:
-    sys.exit(f"covmap log: delta reconstruction gives {reached} "
-             f"reached blocks, final says {final['blocks_hit']}")
+# Header, a cov window per record, and a final cov_map that agrees
+# with the final cov summary.
+final, hits = validate_timeline(log_path, need_cov_map=True)
 
 # --- analyze report ------------------------------------------------
 with open("ci/schemas/analyze_report.schema.json") as f:
@@ -456,6 +410,10 @@ if report["type"] != "covmap_report":
     sys.exit("report: type is not covmap_report")
 if report["version"] != report_schema["version"]:
     sys.exit(f"report: version {report['version']} unsupported")
+if final["samples"] != report["windows"] or \
+        final["samples"] != len(report["timeline"]):
+    sys.exit(f"report: {report['windows']} windows, timeline has "
+             f"{final['samples']} samples")
 check(report["heat"], report_schema["heat"], "report.heat")
 for i, subsystem in enumerate(report["subsystems"]):
     check(subsystem, report_schema["subsystem"], f"subsystems[{i}]")
@@ -471,7 +429,7 @@ bands = report["heat"]
 if (bands["unreached"] + bands["cold"] + bands["warm"] + bands["hot"]
         != report["blocks_total"]):
     sys.exit("report: heat bands do not partition the block set")
-print(f"covmap schemas: {len(windows)} windows, "
+print(f"timeline cov_map schemas: {final['samples']} windows, "
       f"{len(report['targets'])} targets, "
       f"{len(report['subsystems'])} subsystems validated")
 PY
@@ -586,21 +544,17 @@ PY
 #
 # To refresh the baseline after an intentional behavior change:
 #   ./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 \
-#       --workers 1 --policy static --covmap-out /tmp/cov.jsonl \
-#       --timeline-out BENCH_timeline.json
+#       --workers 1 --policy static --timeline-out BENCH_timeline.json
 # then commit the regenerated BENCH_timeline.json.
 tl_fresh=$(mktemp /tmp/sp_ci_tlfresh.XXXXXX.jsonl)
 tl_thompson=$(mktemp /tmp/sp_ci_tlthom.XXXXXX.jsonl)
-tl_cov=$(mktemp /tmp/sp_ci_tlcov.XXXXXX.jsonl)
 cmp_base=$(mktemp /tmp/sp_ci_cmpbase.XXXXXX.json)
 cmp_policy=$(mktemp /tmp/sp_ci_cmppol.XXXXXX.json)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$tl_live" "$tl_fresh" "$tl_thompson" "$tl_cov" "$cmp_base" "$cmp_policy"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$tl_live" "$tl_fresh" "$tl_thompson" "$cmp_base" "$cmp_policy"; rm -rf "$store_dir"' EXIT
 ./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 --workers 1 \
-    --policy static --covmap-out "$tl_cov" \
-    --timeline-out "$tl_fresh" > /dev/null
+    --policy static --timeline-out "$tl_fresh" > /dev/null
 ./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 --workers 1 \
-    --policy thompson --covmap-out "$tl_cov" \
-    --timeline-out "$tl_thompson" > /dev/null
+    --policy thompson --timeline-out "$tl_thompson" > /dev/null
 ./build/examples/sp_analysis compare BENCH_timeline.json "$tl_fresh" \
     --out "$cmp_base" || {
         echo "timeline: fresh campaign regressed vs the committed baseline"
@@ -615,66 +569,14 @@ python3 - BENCH_timeline.json "$tl_fresh" "$tl_thompson" \
 import json
 import sys
 
-TYPES = {"int": int, "str": str, "list": list, "dict": dict,
-         "float": (int, float), "bool": bool}
+sys.path.insert(0, "ci")
+from timeline_check import check, validate_timeline
 
-def check(obj, spec, where):
-    for key, type_name in spec.items():
-        if key not in obj:
-            sys.exit(f"{where}: missing key {key!r}")
-        value = obj[key]
-        if not isinstance(value, TYPES[type_name]) or (
-                type_name in ("int", "float")
-                and isinstance(value, bool)):
-            sys.exit(f"{where}.{key} is not {type_name}")
-
-# --- timeline artifacts: header + delta samples + final ------------
-with open("ci/schemas/timeline_log.schema.json") as f:
-    log_schema = json.load(f)
-
-def validate_log(path):
-    with open(path) as f:
-        lines = [json.loads(line) for line in f]
-    if len(lines) < 3:
-        sys.exit(f"{path}: expected header + samples + final")
-    header, samples, final = lines[0], lines[1:-1], lines[-1]
-    check(header, log_schema["header"], f"{path}: header")
-    if header["type"] != "timeline_header":
-        sys.exit(f"{path}: first line is not timeline_header")
-    if header["version"] != log_schema["version"]:
-        sys.exit(f"{path}: version {header['version']} unsupported")
-    if header["timing"]:
-        sys.exit(f"{path}: baseline campaign must not record wall "
-                 "clock (it would not be reproducible)")
-    prev = -1
-    for i, sample in enumerate(samples):
-        check(sample, log_schema["sample"], f"{path}: sample[{i}]")
-        if sample["type"] != "timeline_sample":
-            sys.exit(f"{path}: line {i + 2} is not timeline_sample")
-        if sample["execs"] <= prev:
-            sys.exit(f"{path}: sample grid is not monotone")
-        prev = sample["execs"]
-        if "cov" in sample:
-            check(sample["cov"], log_schema["cov"],
-                  f"{path}: sample[{i}].cov")
-        if "policy" in sample:
-            check(sample["policy"], log_schema["policy"],
-                  f"{path}: sample[{i}].policy")
-    check(final, log_schema["final"], f"{path}: final")
-    if final["type"] != "timeline_final":
-        sys.exit(f"{path}: last line is not timeline_final")
-    # The final record is itself the last recorded sample, so its
-    # cumulative count is one past the delta-encoded grid lines.
-    if final["samples"] != len(samples) + 1:
-        sys.exit(f"{path}: final sample count disagrees with the "
-                 "recorded grid")
-    if "gauges" in final:
-        sys.exit(f"{path}: final record must not carry gauges")
-    return final
-
-base_final = validate_log(sys.argv[1])
-fresh_final = validate_log(sys.argv[2])
-validate_log(sys.argv[3])
+# --- timeline artifacts: header + delta samples + final (the fresh
+# runs also carry a cov_map, checked against their final cov) -------
+base_final, _ = validate_timeline(sys.argv[1])
+fresh_final, _ = validate_timeline(sys.argv[2], need_cov_map=True)
+validate_timeline(sys.argv[3], need_cov_map=True)
 
 # --- compare reports -----------------------------------------------
 with open("ci/schemas/compare_report.schema.json") as f:
@@ -792,7 +694,7 @@ PY
 # idles in --status-hold.
 fleet_tl=$(mktemp /tmp/sp_ci_fleettl.XXXXXX.jsonl)
 fleet_cmp=$(mktemp /tmp/sp_ci_fleetcmp.XXXXXX.json)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$cov_live" "$tl_live" "$tl_fresh" "$tl_thompson" "$tl_cov" "$cmp_base" "$cmp_policy" "$fleet_tl" "$fleet_cmp"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$tl_live" "$tl_fresh" "$tl_thompson" "$cmp_base" "$cmp_policy" "$fleet_tl" "$fleet_cmp"; rm -rf "$store_dir"' EXIT
 python3 - "$fleet_tl" <<'PY'
 import json
 import re

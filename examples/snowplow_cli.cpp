@@ -6,8 +6,7 @@
 //
 //   snowplow_cli fuzz [--budget N] [--seed N] [--workers N]
 //                     [--pmm CKPT] [--async W] [--harvest-dir DIR]
-//                     [--covmap-out FILE.jsonl]
-//                     [--timeline-out FILE.jsonl]
+//                     [--timeline-out TIMELINE.jsonl]
 //                     [--directed-from REPORT.json]
 //                     [--exec-backend ref|fast]
 //                     [--policy static|thompson]
@@ -18,25 +17,24 @@
 //       bit-for-bit the classic single-threaded loop). With --async W
 //       the learned localizer queries an InferenceService worker pool
 //       of W threads instead of predicting inline (§3.4 deployment).
-//       --covmap-out streams per-checkpoint coverage-cartography
-//       snapshots (delta-encoded JSONL; input to `analyze`) and
-//       serves the live frontier summary on the status server's
-//       /coverage endpoint. --directed-from reads an `analyze`
-//       report's cold-frontier target set and runs the campaign
-//       directed at it (distance scheduler; Snowplow-D targeting
-//       when --pmm is given). --exec-backend picks the executor
-//       implementation: `fast` (default; dirty-state restore + dense
-//       coverage) or `ref` (the reference interpreter) — the two are
-//       bit-identical, so `ref` is for differential/A-B runs.
+//       --directed-from reads an `analyze` report's cold-frontier
+//       target set and runs the campaign directed at it (distance
+//       scheduler; Snowplow-D targeting when --pmm is given).
+//       --exec-backend picks the executor implementation: `fast`
+//       (default; dirty-state restore + dense coverage) or `ref` (the
+//       reference interpreter) — the two are bit-identical, so `ref`
+//       is for differential/A-B runs.
 //       --policy picks the loop's decision policy: `static` (default;
 //       the legacy scheduler plus the fixed §3.4 fallback
 //       probability) or `thompson` (Beta-Bernoulli bandit over
 //       seed-bucket × operator × model-vs-random arms, updated from
 //       coverage rewards at every checkpoint). --timeline-out records
 //       one delta-encoded metric/coverage/policy sample per virtual-
-//       time checkpoint (input to `sp_analysis compare`) and serves
-//       the recent window on the status server's /timeline endpoint;
-//       with --workers 1 and no --metrics-out sink the artifact is
+//       time checkpoint (input to `sp_analysis compare`) and ends with
+//       the campaign's per-block hit map (input to `analyze`); it
+//       serves the recent window on the status server's /timeline
+//       endpoint and the live coverage-frontier summary on /coverage.
+//       With --workers 1 and no --metrics-out sink the artifact is
 //       bit-reproducible for a given seed.
 //
 //   snowplow_cli train [--corpus N] [--mutations N] [--epochs N]
@@ -62,12 +60,13 @@
 //   snowplow_cli directed --target BLOCK [--pmm CKPT] [--budget N]
 //       Directed campaign toward one block, baseline vs Snowplow-D.
 //
-//   snowplow_cli analyze LOG.jsonl [--out REPORT.json] [--targets N]
-//       Coverage cartography over a campaign's --covmap-out snapshot
-//       log: heat bands (hot/warm/cold/unreached), per-subsystem
+//   snowplow_cli analyze TIMELINE.jsonl [--out REPORT.json]
+//                        [--targets N]
+//       Coverage cartography over a campaign's --timeline-out
+//       artifact: heat bands (hot/warm/cold/unreached), per-subsystem
 //       aggregation, and the ranked cold-frontier target set. Pass the
 //       campaign's --seed/--version/--evolution so the rebuilt kernel
-//       matches the log (subsystem attribution is skipped, with a
+//       matches the map (subsystem attribution is skipped, with a
 //       warning, when the block counts disagree). --out writes the
 //       machine-readable report consumed by `fuzz --directed-from`.
 //
@@ -304,34 +303,20 @@ cmdFuzz(const Args &args)
         std::max<uint64_t>(1, args.getU64("workers", 1)));
     campaign_opts.fuzz = opts;
 
-    // --covmap-out FILE.jsonl: per-block/edge hit profiling with one
-    // delta-encoded snapshot window per checkpoint, plus the live
-    // /coverage summary on the status server.
+    // --timeline-out FILE.jsonl: one metric/coverage/policy sample per
+    // virtual-time checkpoint (the `sp_analysis compare` input) closed
+    // by the per-block hit map (the `analyze` input), plus the live
+    // /timeline window and /coverage summary on the status server.
     std::unique_ptr<obs::CovMap> covmap;
-    if (args.has("covmap-out")) {
+    std::unique_ptr<obs::TimelineRecorder> timeline;
+    if (args.has("timeline-out")) {
         covmap = std::make_unique<obs::CovMap>(
             obs::CovMapPlan::build(kernel.blocks().size(),
                                    kernel.staticEdges()),
             campaign_opts.workers);
-        const std::string path = args.get("covmap-out", "");
-        std::string extra = "\"kernel\":{\"seed\":";
-        extra += std::to_string(args.getU64("seed", 2024));
-        extra += ",\"version\":\"" + kernel.version();
-        extra += "\",\"evolution\":";
-        extra += std::to_string(args.getU64("evolution", 0));
-        extra += "}";
-        if (!covmap->openLog(path, extra))
-            SP_FATAL("cannot open --covmap-out %s", path.c_str());
         campaign_opts.fuzz.covmap = covmap.get();
         obs::setCoverageProvider(
             [cm = covmap.get()] { return cm->summaryJson(); });
-    }
-
-    // --timeline-out FILE.jsonl: one metric/coverage/policy sample per
-    // virtual-time checkpoint (the `sp_analysis compare` input), plus
-    // the live /timeline window on the status server.
-    std::unique_ptr<obs::TimelineRecorder> timeline;
-    if (args.has("timeline-out")) {
         timeline = std::make_unique<obs::TimelineRecorder>(
             obs::TimelineOptions{});
         const std::string path = args.get("timeline-out", "");
@@ -430,40 +415,35 @@ cmdFuzz(const Args &args)
         engine = core::makeSyzkallerCampaign(kernel, campaign_opts);
     }
     auto report = engine->run();
-    if (covmap != nullptr) {
-        covmap->finalize(report.execs);
-        // The covmap dies with this frame but /coverage may be scraped
-        // through --status-hold: freeze the final summary into the
-        // provider (mirrors the campaign's status ProviderGuard).
-        obs::setCoverageProvider(
-            [frozen = covmap->summaryJson()] { return frozen; });
-        const auto summary = covmap->summary();
-        std::printf("covmap: %zu blocks, %zu edges, %zu frontier "
-                    "targets, %llu windows -> %s\n",
-                    summary.blocks_hit, summary.edges_hit,
-                    summary.frontier_size,
-                    static_cast<unsigned long long>(summary.windows),
-                    args.get("covmap-out", "").c_str());
-    }
     if (timeline != nullptr) {
         // The artifact's final record: the end-of-run tick (after
-        // CovMap::finalize so stray-edge accounting is settled) plus
-        // the one full-percentile registry pass.
+        // CovMap::finalize so stray-edge accounting is settled), the
+        // one full-percentile registry pass and the hit map.
+        covmap->finalize(report.execs);
         fuzz::Checkpoint final_cp;
         final_cp.execs = report.execs;
         final_cp.edges = report.final_edges;
         final_cp.blocks = report.final_blocks;
         final_cp.crashes = report.final_crashes;
-        timeline->finalize(fuzz::makeTimelineTick(
-            final_cp, report.corpus_size, covmap.get(),
-            engine->policy()));
-        // Freeze /timeline for --status-hold scrapes (the recorder
-        // outlives the campaign but dies with this frame).
+        timeline->finalize(
+            fuzz::makeTimelineTick(final_cp, report.corpus_size,
+                                   covmap.get(), engine->policy()),
+            covmap.get());
+        // The covmap and recorder die with this frame but /coverage
+        // and /timeline may be scraped through --status-hold: freeze
+        // the final payloads into the providers (mirrors the
+        // campaign's status ProviderGuard).
+        obs::setCoverageProvider(
+            [frozen = covmap->summaryJson()] { return frozen; });
         obs::setTimelineProvider(
             [frozen = timeline->recentJson()] { return frozen; });
-        std::printf("timeline: %llu samples -> %s\n",
+        const auto summary = covmap->summary();
+        std::printf("timeline: %llu samples, %zu blocks, %zu edges, "
+                    "%zu frontier targets -> %s\n",
                     static_cast<unsigned long long>(
                         timeline->sampleCount()),
+                    summary.blocks_hit, summary.edges_hit,
+                    summary.frontier_size,
                     args.get("timeline-out", "").c_str());
     }
     if (!directed_targets.empty()) {
@@ -685,7 +665,7 @@ cmdAnalyze(const Args &args)
     const std::string log = args.get("log", args.positional(0));
     if (log.empty()) {
         std::fprintf(stderr,
-                     "usage: snowplow_cli analyze LOG.jsonl "
+                     "usage: snowplow_cli analyze TIMELINE.jsonl "
                      "[--out REPORT.json] [--targets N] "
                      "[--seed N] [--version V] [--evolution E]\n");
         return 2;
@@ -702,9 +682,9 @@ cmdAnalyze(const Args &args)
     if (kernel.blocks().size() != profile.num_blocks) {
         std::fprintf(stderr,
                      "warning: rebuilt kernel has %zu blocks but the "
-                     "log has %zu — pass the campaign's --seed/"
-                     "--version/--evolution; skipping subsystem "
-                     "attribution\n",
+                     "timeline's map has %zu — pass the campaign's "
+                     "--seed/--version/--evolution; skipping "
+                     "subsystem attribution\n",
                      kernel.blocks().size(), profile.num_blocks);
         attribution = nullptr;
     }

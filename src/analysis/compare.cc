@@ -183,6 +183,7 @@ TimelineLog::load(const std::string &path)
                 return log;
             }
             have_header = true;
+            log.header = record;
             if (const json::Value *v = record.find("version"))
                 log.version = static_cast<int>(v->asInt());
             if (const json::Value *v = record.find("timing"))
@@ -253,6 +254,10 @@ TimelineLog::load(const std::string &path)
             log.has_final = true;
             TimelineLogSample fin;
             readTickFacts(record, fin);
+            if (const json::Value *v = record.find("samples"))
+                log.final_samples = v->asUint();
+            if (const json::Value *v = record.find("cov_map"))
+                log.cov_map = *v;
             if (const json::Value *policy = record.find("policy")) {
                 if (const json::Value *list = policy->find("arms")) {
                     for (const json::Value &entry : list->array()) {

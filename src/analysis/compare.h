@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.h"
+
 namespace sp::analysis {
 
 /** Cumulative state reconstructed at one timeline sample. */
@@ -59,6 +61,8 @@ struct TimelineLogSample
     std::map<std::string, double> gauges;
     /** hist -> cumulative count. */
     std::map<std::string, uint64_t> hist_counts;
+
+    bool operator==(const TimelineLogSample &) const = default;
 };
 
 /** One histogram's final-record summary (full percentiles). */
@@ -76,6 +80,9 @@ struct TimelineLog
     std::string error;  ///< empty = loaded
     int version = 0;
     bool timing = false;  ///< artifact recorded with timing enabled
+    /** The parsed timeline_header line (campaign fields like "kernel"
+     *  spliced in by the writer stay reachable through find()). */
+    json::Value header;
 
     /** Per-grid-boundary samples, cumulative, ascending execs. */
     std::vector<TimelineLogSample> samples;
@@ -83,6 +90,11 @@ struct TimelineLog
     bool has_final = false;
     TimelineLogSample final_state;  ///< the timeline_final record
     std::map<std::string, TimelineFinalHist> final_hists;
+    /** The final record's `samples`: grid lines plus itself. */
+    uint64_t final_samples = 0;
+    /** The final record's `cov_map` object (obs::CovMap::mapJson);
+     *  null when the run had no CovMap attached. */
+    json::Value cov_map;
 
     bool ok() const { return error.empty(); }
 

@@ -1,37 +1,71 @@
 #include "analysis/frontier.h"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
-#include <sstream>
+
+#include "analysis/compare.h"
 
 namespace sp::analysis {
 
 namespace {
 
-/** Fold one `[[index, delta], ...]` array into `cumulative`; returns
- *  the delta sum, or sets `error` on malformed entries. */
-uint64_t
-applyDeltas(const json::Value &pairs, std::vector<uint64_t> &cumulative,
-            std::string &error, const char *what)
+/** `[a, b]` of exact unsigned integers, or false. */
+bool
+readPair(const json::Value &pair, uint64_t *a, uint64_t *b)
 {
-    uint64_t total = 0;
-    for (const json::Value &pair : pairs.array()) {
-        const json::Value *index = pair.at(0);
-        const json::Value *delta = pair.at(1);
-        if (index == nullptr || delta == nullptr) {
-            error = std::string("malformed ") + what + " delta pair";
-            return total;
-        }
-        const uint64_t i = index->asUint();
-        if (i >= cumulative.size()) {
-            error = std::string(what) + " delta index out of range";
-            return total;
-        }
-        cumulative[i] += delta->asUint();
-        total += delta->asUint();
+    if (pair.array().size() != 2 || !pair.at(0)->isUint() ||
+        !pair.at(1)->isUint())
+        return false;
+    *a = pair.at(0)->asUint();
+    *b = pair.at(1)->asUint();
+    return true;
+}
+
+/** Decode the final record's `cov_map` (obs::covMapJson) into
+ *  `profile`; returns the error, or "" on success. */
+std::string
+decodeCovMap(const json::Value &map, CovProfile &profile)
+{
+    const json::Value *num_blocks = map.find("num_blocks");
+    const json::Value *edges = map.find("edges");
+    const json::Value *hits = map.find("block_hits");
+    if (num_blocks == nullptr || !num_blocks->isUint() ||
+        edges == nullptr || !edges->isArray() || hits == nullptr ||
+        !hits->isArray())
+        return "cov_map: missing or malformed num_blocks/edges/"
+               "block_hits";
+    const uint64_t n = num_blocks->asUint();
+    if (n > CovProfile::kMaxBlocks) {
+        return "cov_map: num_blocks " + std::to_string(n) +
+               " exceeds the decoder bound of " +
+               std::to_string(CovProfile::kMaxBlocks);
     }
-    return total;
+    profile.num_blocks = static_cast<size_t>(n);
+    for (const json::Value &edge : edges->array()) {
+        uint64_t from = 0, to = 0;
+        if (!readPair(edge, &from, &to))
+            return "cov_map: malformed edge";
+        if (from >= n || to >= n)
+            return "cov_map: edge endpoint out of range";
+        profile.edges.emplace_back(static_cast<uint32_t>(from),
+                                   static_cast<uint32_t>(to));
+    }
+    // Ascending non-zero pairs are the one encoding the writer emits,
+    // so an accepted map re-encodes to exactly its input.
+    profile.block_hits.assign(profile.num_blocks, 0);
+    uint64_t next = 0;
+    for (const json::Value &pair : hits->array()) {
+        uint64_t block = 0, count = 0;
+        if (!readPair(pair, &block, &count) || count == 0)
+            return "cov_map: malformed block_hits pair";
+        if (block >= n)
+            return "cov_map: block index out of range";
+        if (block < next)
+            return "cov_map: block_hits not strictly ascending";
+        profile.block_hits[block] = count;
+        next = block + 1;
+    }
+    return "";
 }
 
 }  // namespace
@@ -40,116 +74,58 @@ CovProfile
 CovProfile::load(const std::string &path)
 {
     CovProfile profile;
-    std::ifstream in(path);
-    if (!in) {
-        profile.error = "cannot open " + path;
+    const TimelineLog log = TimelineLog::load(path);
+    profile.error = log.error;
+    if (profile.ok() && log.cov_map.isNull()) {
+        profile.error = path + ": no cov_map in the timeline's final "
+                               "record; re-record the campaign with "
+                               "`fuzz --timeline-out`";
+    }
+    if (profile.ok())
+        profile.error = decodeCovMap(log.cov_map, profile);
+    if (profile.ok() && log.final_samples != log.samples.size() + 1)
+        profile.error = "final sample count disagrees with the grid";
+    if (!profile.ok())
         return profile;
+
+    // Windows: every grid sample's cov section, then the final one.
+    std::vector<const TimelineLogSample *> series;
+    for (const TimelineLogSample &sample : log.samples)
+        series.push_back(&sample);
+    series.push_back(&log.final_state);
+    size_t reached = 0;
+    for (const TimelineLogSample *sample : series) {
+        if (!sample->have_cov || sample->cov_blocks_hit < reached) {
+            profile.error = "missing or shrinking cov window at execs " +
+                            std::to_string(sample->execs);
+            return profile;
+        }
+        profile.windows.push_back(
+            {sample->execs, sample->cov_blocks_hit - reached,
+             sample->cov_blocks_hit, sample->cov_edges_hit,
+             sample->cov_frontier_size});
+        reached = sample->cov_blocks_hit;
     }
 
-    std::string line;
-    size_t line_no = 0;
-    bool have_header = false;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        json::ParseResult parsed = json::parse(line);
-        if (!parsed.ok()) {
-            profile.error = "line " + std::to_string(line_no) + ": " +
-                            parsed.error;
-            return profile;
-        }
-        const json::Value &record = parsed.value;
-        const json::Value *type = record.find("type");
-        if (type == nullptr) {
-            profile.error =
-                "line " + std::to_string(line_no) + ": missing type";
-            return profile;
-        }
-
-        if (type->str() == "covmap_header") {
-            if (have_header) {
-                profile.error = "duplicate covmap_header";
-                return profile;
-            }
-            have_header = true;
-            profile.header = record;
-            const json::Value *num_blocks = record.find("num_blocks");
-            const json::Value *edges = record.find("edges");
-            if (num_blocks == nullptr || edges == nullptr) {
-                profile.error = "covmap_header missing fields";
-                return profile;
-            }
-            profile.num_blocks =
-                static_cast<size_t>(num_blocks->asUint());
-            for (const json::Value &edge : edges->array()) {
-                const json::Value *from = edge.at(0);
-                const json::Value *to = edge.at(1);
-                if (from == nullptr || to == nullptr) {
-                    profile.error = "malformed header edge";
-                    return profile;
-                }
-                profile.edges.emplace_back(
-                    static_cast<uint32_t>(from->asUint()),
-                    static_cast<uint32_t>(to->asUint()));
-            }
-            profile.block_hits.assign(profile.num_blocks, 0);
-            profile.edge_hits.assign(profile.edges.size(), 0);
-            continue;
-        }
-
-        if (!have_header) {
-            profile.error = "record before covmap_header";
-            return profile;
-        }
-
-        if (type->str() == "covmap_window") {
-            WindowRecord window;
-            if (const json::Value *v = record.find("execs"))
-                window.execs = v->asUint();
-            if (const json::Value *v = record.find("new_blocks")) {
-                for (const json::Value &block : v->array()) {
-                    window.new_blocks.push_back(
-                        static_cast<uint32_t>(block.asUint()));
-                }
-            }
-            if (const json::Value *v = record.find("block_deltas")) {
-                window.block_hit_delta = applyDeltas(
-                    *v, profile.block_hits, profile.error, "block");
-            }
-            if (const json::Value *v = record.find("edge_deltas"))
-                applyDeltas(*v, profile.edge_hits, profile.error,
-                            "edge");
-            if (!profile.ok())
-                return profile;
-            if (const json::Value *v = record.find("stray_edges")) {
-                window.stray_edges = v->asUint();
-                profile.stray_edges += window.stray_edges;
-            }
-            if (const json::Value *v = record.find("blocks_hit"))
-                window.blocks_hit = v->asUint();
-            if (const json::Value *v = record.find("edges_hit"))
-                window.edges_hit = v->asUint();
-            if (const json::Value *v = record.find("frontier_size"))
-                window.frontier_size = v->asUint();
-            profile.execs = window.execs;
-            profile.windows.push_back(std::move(window));
-            continue;
-        }
-
-        if (type->str() == "covmap_final") {
-            if (const json::Value *v = record.find("execs"))
-                profile.execs = v->asUint();
-            continue;
-        }
-
-        profile.error = "line " + std::to_string(line_no) +
-                        ": unknown record type " + type->str();
+    // The map must be the one the final summary describes.
+    const TimelineLogSample &fin = log.final_state;
+    size_t blocks_hit = 0;
+    uint64_t total = 0;
+    bool overflow = false;
+    for (const uint64_t hits : profile.block_hits) {
+        blocks_hit += hits != 0;
+        overflow |= __builtin_add_overflow(total, hits, &total);
+    }
+    if (overflow || blocks_hit != fin.cov_blocks_hit ||
+        total != fin.cov_total_block_hits) {
+        profile.error = "cov_map disagrees with the final cov summary";
         return profile;
     }
-
-    if (!have_header)
-        profile.error = "no covmap_header in " + path;
+    profile.blocks_hit = blocks_hit;
+    profile.edges_hit = fin.cov_edges_hit;
+    profile.stray_edges = fin.cov_stray_edges;
+    profile.execs = fin.execs;
+    profile.header = log.header;
     return profile;
 }
 

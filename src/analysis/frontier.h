@@ -1,7 +1,8 @@
 /**
  * @file
- * Offline coverage cartography: load a campaign's covmap snapshot log
- * (obs/covmap.h) back into a merged profile, classify blocks into
+ * Offline coverage cartography: load the coverage map a campaign's
+ * `--timeline-out` artifact carries (the final record's `cov_map`,
+ * written by obs::CovMap::mapJson) into a profile, classify blocks into
  * hot / warm / cold / unreached heat bands, group them by kernel
  * subsystem, and derive the ranked cold-frontier target set that
  * `fuzz --directed-from` feeds into Snowplow-D.
@@ -36,41 +37,58 @@
 
 namespace sp::analysis {
 
-/** One covmap_window record of the snapshot log. */
+/** One coverage window: a timeline sample's `cov` section (the final
+ *  record's closes the series). */
 struct WindowRecord
 {
     uint64_t execs = 0;
-    std::vector<uint32_t> new_blocks;
-    uint64_t block_hit_delta = 0;  ///< sum of the window's block deltas
-    uint64_t stray_edges = 0;
-    size_t blocks_hit = 0;         ///< cumulative at window end
+    size_t new_blocks = 0;     ///< blocks first reached in the window
+    size_t blocks_hit = 0;     ///< cumulative at window end
     size_t edges_hit = 0;
     size_t frontier_size = 0;
+
+    bool operator==(const WindowRecord &) const = default;
 };
 
-/** A snapshot log folded back into the final merged map. */
+/** A campaign's final merged block-hit map plus its window series. */
 struct CovProfile
 {
+    /**
+     * Decoder bound on `cov_map.num_blocks`, checked before anything is
+     * sized from it: 4 Mi blocks caps one profile at 32 MiB of hit
+     * counters (plus the plan's successor tables), the way the fleet
+     * wire's 64 MiB payload bound caps a frame (the canonical
+     * `--seed 5` campaign's kernel has 465 blocks).
+     */
+    static constexpr uint64_t kMaxBlocks = uint64_t{1} << 22;
+
     size_t num_blocks = 0;
-    /** Static edges in the log header's dense order. */
+    /** Static edges in the writer's dense order. */
     std::vector<std::pair<uint32_t, uint32_t>> edges;
-    /** Cumulative hit counts reconstructed from the window deltas. */
+    /** Final cumulative hit count per block. */
     std::vector<uint64_t> block_hits;
-    std::vector<uint64_t> edge_hits;
-    uint64_t stray_edges = 0;
+    size_t blocks_hit = 0;      ///< final `cov.blocks_hit`
+    size_t edges_hit = 0;       ///< final `cov.edges_hit`
+    uint64_t stray_edges = 0;   ///< final `cov.stray_edges`
     uint64_t execs = 0;
     std::vector<WindowRecord> windows;
-    /** The parsed covmap_header line (campaign fields like "kernel"
+    /** The parsed timeline_header line (campaign fields like "kernel"
      *  spliced in by the writer stay reachable through find()). */
     json::Value header;
 
     std::string error;  ///< empty = loaded successfully
     bool ok() const { return error.empty(); }
 
-    /** Parse a JSONL snapshot log; on failure `error` says why. */
+    /**
+     * Load a `--timeline-out` artifact through analysis::TimelineLog.
+     * Fails (with `error` saying why) when the artifact has no
+     * `cov_map` (recorded without a CovMap), when the map is malformed
+     * or out of bounds, or when it disagrees with the final `cov`
+     * summary.
+     */
     static CovProfile load(const std::string &path);
 
-    /** The plan implied by the header (for frontier computation). */
+    /** The plan implied by the map (for frontier computation). */
     obs::CovMapPlan plan() const
     {
         return obs::CovMapPlan::build(num_blocks, edges);

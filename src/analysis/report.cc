@@ -44,15 +44,9 @@ reportJson(const Analysis &analysis, const std::string &source_path)
     out += ",\"execs\":" + std::to_string(profile.execs);
     out += ",\"windows\":" + std::to_string(profile.windows.size());
     out += ",\"blocks_total\":" + std::to_string(profile.num_blocks);
-    size_t blocks_hit = 0;
-    for (const uint64_t hits : profile.block_hits)
-        blocks_hit += hits != 0;
-    size_t edges_hit = 0;
-    for (const uint64_t hits : profile.edge_hits)
-        edges_hit += hits != 0;
-    out += ",\"blocks_hit\":" + std::to_string(blocks_hit);
+    out += ",\"blocks_hit\":" + std::to_string(profile.blocks_hit);
     out += ",\"edges_total\":" + std::to_string(profile.edges.size());
-    out += ",\"edges_hit\":" + std::to_string(edges_hit);
+    out += ",\"edges_hit\":" + std::to_string(profile.edges_hit);
     out += ",\"stray_edges\":" + std::to_string(profile.stray_edges);
 
     out += ",\"heat\":{\"cold_max\":";
@@ -105,8 +99,7 @@ reportJson(const Analysis &analysis, const std::string &source_path)
         if (i != 0)
             out += ',';
         out += "{\"execs\":" + std::to_string(window.execs);
-        out += ",\"new_blocks\":" +
-               std::to_string(window.new_blocks.size());
+        out += ",\"new_blocks\":" + std::to_string(window.new_blocks);
         out += ",\"blocks_hit\":" + std::to_string(window.blocks_hit);
         out += ",\"edges_hit\":" + std::to_string(window.edges_hit);
         out += ",\"frontier_size\":" +
@@ -126,14 +119,8 @@ reportText(const Analysis &analysis, const std::string &source_path)
     out << "  execs " << profile.execs << ", windows "
         << profile.windows.size() << "\n";
 
-    size_t blocks_hit = 0;
-    for (const uint64_t hits : profile.block_hits)
-        blocks_hit += hits != 0;
-    size_t edges_hit = 0;
-    for (const uint64_t hits : profile.edge_hits)
-        edges_hit += hits != 0;
-    out << "  blocks " << blocks_hit << "/" << profile.num_blocks
-        << " reached, edges " << edges_hit << "/"
+    out << "  blocks " << profile.blocks_hit << "/" << profile.num_blocks
+        << " reached, edges " << profile.edges_hit << "/"
         << profile.edges.size() << ", stray " << profile.stray_edges
         << "\n";
     const auto band = [&analysis](Heat heat) {

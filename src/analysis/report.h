@@ -1,7 +1,8 @@
 /**
  * @file
- * Campaign report rendering over a loaded CovProfile: the machine-
- * readable analyze report (`--out`, validated by
+ * Campaign report rendering over a loaded CovProfile (the coverage
+ * map of one `--timeline-out` artifact): the machine-readable analyze
+ * report (`--out`, validated by
  * ci/schemas/analyze_report.schema.json), the human-readable heat
  * report printed by `snowplow_cli analyze`, and the target-set
  * round-trip `fuzz --directed-from` consumes.
@@ -16,7 +17,7 @@
 
 namespace sp::analysis {
 
-/** Everything `analyze` derives from one snapshot log. */
+/** Everything `analyze` derives from one timeline's coverage map. */
 struct Analysis
 {
     CovProfile profile;

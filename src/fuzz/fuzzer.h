@@ -76,8 +76,9 @@ struct FuzzOptions
      * Optional coverage-cartography accumulator (obs/covmap.h, not
      * owned; must outlive the run). Workers record per-call block
      * traces into their shard after every execution and the in-order
-     * checkpoint owner merges + emits one snapshot window per grid
-     * boundary. Null = hit-count profiling off (zero overhead).
+     * checkpoint owner merges them once per grid boundary (the
+     * timeline samples the merged summary). Null = hit-count
+     * profiling off (zero overhead).
      */
     obs::CovMap *covmap = nullptr;
     /**

@@ -37,29 +37,6 @@ struct CovMetrics
     }
 };
 
-/** Append `[[k,v],...]` for every non-zero delta (sorted by key). */
-void
-appendDeltaPairs(std::string &out, const std::vector<uint64_t> &now,
-                 const std::vector<uint64_t> &before)
-{
-    out += '[';
-    bool first = true;
-    for (size_t i = 0; i < now.size(); ++i) {
-        const uint64_t delta = now[i] - before[i];
-        if (delta == 0)
-            continue;
-        if (!first)
-            out += ',';
-        first = false;
-        out += '[';
-        out += std::to_string(i);
-        out += ',';
-        out += std::to_string(delta);
-        out += ']';
-    }
-    out += ']';
-}
-
 }  // namespace
 
 CovMapPlan
@@ -197,47 +174,6 @@ CovMap::CovMap(CovMapPlan plan, size_t workers)
     merged_edges_.assign(plan_.numEdges(), 0);
 }
 
-CovMap::~CovMap()
-{
-    if (log_ != nullptr)
-        std::fclose(log_);
-}
-
-bool
-CovMap::openLog(const std::string &path,
-                const std::string &extra_header_json)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    SP_ASSERT(log_ == nullptr, "covmap log already open");
-    log_ = std::fopen(path.c_str(), "w");
-    if (log_ == nullptr)
-        return false;
-
-    std::string header;
-    header.reserve(64 + plan_.numEdges() * 12);
-    header += "{\"type\":\"covmap_header\",\"version\":1,";
-    header += "\"num_blocks\":" + std::to_string(plan_.num_blocks);
-    header += ",\"num_edges\":" + std::to_string(plan_.numEdges());
-    header += ",\"edges\":[";
-    for (size_t e = 0; e < plan_.edges.size(); ++e) {
-        if (e != 0)
-            header += ',';
-        header += '[';
-        header += std::to_string(plan_.edges[e].first);
-        header += ',';
-        header += std::to_string(plan_.edges[e].second);
-        header += ']';
-    }
-    header += ']';
-    if (!extra_header_json.empty()) {
-        header += ',';
-        header += extra_header_json;
-    }
-    header += "}\n";
-    std::fwrite(header.data(), 1, header.size(), log_);
-    return true;
-}
-
 void
 CovMap::foldShards(std::vector<uint64_t> &blocks,
                    std::vector<uint64_t> &edges, uint64_t &stray) const
@@ -294,7 +230,7 @@ computeFrontier(const CovMapPlan &plan,
 }
 
 void
-CovMap::mergeLocked(uint64_t execs, bool emit_window)
+CovMap::mergeLocked(uint64_t execs)
 {
     // Wall-clock merge cost is telemetry, not campaign state: gate it
     // like every SP_TIMED span so sink-less runs keep the registry
@@ -306,49 +242,17 @@ CovMap::mergeLocked(uint64_t execs, bool emit_window)
     uint64_t stray = 0;
     foldShards(blocks, edges, stray);
 
-    std::vector<uint32_t> new_blocks;
     size_t blocks_hit = 0;
     uint64_t total_hits = 0;
-    for (uint32_t b = 0; b < blocks.size(); ++b) {
-        total_hits += blocks[b];
-        if (blocks[b] != 0) {
-            ++blocks_hit;
-            if (merged_blocks_[b] == 0)
-                new_blocks.push_back(b);
-        }
+    for (const uint64_t hits : blocks) {
+        total_hits += hits;
+        blocks_hit += hits != 0;
     }
     size_t edges_hit = 0;
     for (const uint64_t hits : edges)
         edges_hit += hits != 0;
 
     const auto frontier = computeFrontier(plan_, blocks, /*cap=*/0);
-
-    if (emit_window && log_ != nullptr) {
-        std::string line;
-        line.reserve(256 + new_blocks.size() * 8);
-        line += "{\"type\":\"covmap_window\",\"execs\":";
-        line += std::to_string(execs);
-        line += ",\"new_blocks\":[";
-        for (size_t i = 0; i < new_blocks.size(); ++i) {
-            if (i != 0)
-                line += ',';
-            line += std::to_string(new_blocks[i]);
-        }
-        line += "],\"block_deltas\":";
-        appendDeltaPairs(line, blocks, merged_blocks_);
-        line += ",\"edge_deltas\":";
-        appendDeltaPairs(line, edges, merged_edges_);
-        line += ",\"stray_edges\":";
-        line += std::to_string(stray - merged_stray_);
-        line += ",\"blocks_hit\":";
-        line += std::to_string(blocks_hit);
-        line += ",\"edges_hit\":";
-        line += std::to_string(edges_hit);
-        line += ",\"frontier_size\":";
-        line += std::to_string(frontier.size());
-        line += "}\n";
-        std::fwrite(line.data(), 1, line.size(), log_);
-    }
 
     CovMetrics &metrics = CovMetrics::get();
     metrics.stray_edges.inc(stray - merged_stray_);
@@ -358,8 +262,7 @@ CovMap::mergeLocked(uint64_t execs, bool emit_window)
     merged_stray_ = stray;
 
     summary_.execs = execs;
-    if (emit_window)
-        ++summary_.windows;
+    ++summary_.windows;
     summary_.blocks_hit = blocks_hit;
     summary_.edges_hit = edges_hit;
     summary_.total_block_hits = total_hits;
@@ -370,8 +273,7 @@ CovMap::mergeLocked(uint64_t execs, bool emit_window)
         frontier.begin() +
             std::min(frontier.size(), kSummaryFrontierCap));
 
-    if (emit_window)
-        metrics.windows.inc();
+    metrics.windows.inc();
     metrics.blocks_hit.set(static_cast<double>(blocks_hit));
     metrics.edges_hit.set(static_cast<double>(edges_hit));
     metrics.frontier_size.set(static_cast<double>(frontier.size()));
@@ -388,7 +290,7 @@ CovMap::onCheckpoint(uint64_t execs)
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
         return;
-    mergeLocked(execs, /*emit_window=*/true);
+    mergeLocked(execs);
 }
 
 void
@@ -397,27 +299,40 @@ CovMap::finalize(uint64_t execs)
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
         return;
-    mergeLocked(execs, /*emit_window=*/true);
+    mergeLocked(execs);
     finalized_ = true;
-    if (log_ == nullptr)
-        return;
-    std::string line;
-    line += "{\"type\":\"covmap_final\",\"execs\":";
-    line += std::to_string(execs);
-    line += ",\"windows\":";
-    line += std::to_string(summary_.windows);
-    line += ",\"blocks_hit\":";
-    line += std::to_string(summary_.blocks_hit);
-    line += ",\"edges_hit\":";
-    line += std::to_string(summary_.edges_hit);
-    line += ",\"stray_edges\":";
-    line += std::to_string(summary_.stray_edges);
-    line += ",\"frontier_size\":";
-    line += std::to_string(summary_.frontier_size);
-    line += "}\n";
-    std::fwrite(line.data(), 1, line.size(), log_);
-    std::fclose(log_);
-    log_ = nullptr;
+}
+
+std::string
+covMapJson(size_t num_blocks,
+           const std::vector<std::pair<uint32_t, uint32_t>> &edges,
+           const std::vector<uint64_t> &block_hits)
+{
+    std::string out = "{\"num_blocks\":" + std::to_string(num_blocks);
+    out += ",\"edges\":[";
+    for (size_t e = 0; e < edges.size(); ++e) {
+        out += e == 0 ? "[" : ",[";
+        out += std::to_string(edges[e].first) + ',' +
+               std::to_string(edges[e].second) + ']';
+    }
+    out += "],\"block_hits\":[";
+    bool first = true;
+    for (size_t b = 0; b < block_hits.size(); ++b) {
+        if (block_hits[b] == 0)
+            continue;
+        out += first ? "[" : ",[";
+        first = false;
+        out += std::to_string(b) + ',' + std::to_string(block_hits[b]) +
+               ']';
+    }
+    return out + "]}";
+}
+
+std::string
+CovMap::mapJson() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return covMapJson(plan_.num_blocks, plan_.edges, merged_blocks_);
 }
 
 std::vector<uint64_t>

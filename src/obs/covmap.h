@@ -19,11 +19,13 @@
  *    (no RMW lock — the writer is unique), no locks, no allocation;
  *  - the checkpoint owner (already serialized by the campaign's
  *    in-order checkpoint emission) calls onCheckpoint(), which folds
- *    every shard into the cumulative map, derives the window delta
- *    (what became newly-reached / hotter since the last checkpoint),
- *    appends a delta-encoded JSONL record to the snapshot log, updates
- *    the live frontier summary served by /coverage, and refreshes the
- *    covmap.* metrics.
+ *    every shard into the cumulative map, updates the live frontier
+ *    summary served by /coverage (which the timeline samples as its
+ *    per-checkpoint `cov` section), and refreshes the covmap.*
+ *    metrics;
+ *  - the final merged block-hit map leaves the process once, as the
+ *    `cov_map` object of the `--timeline-out` artifact's final record
+ *    (mapJson(); read back by analysis::CovProfile).
  *
  * Frontier definition (plan-level, no kernel required): a *frontier
  * guard* is a reached block with two static successors of which at
@@ -41,7 +43,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -135,11 +136,24 @@ std::vector<FrontierEntry> computeFrontier(
     const CovMapPlan &plan, const std::vector<uint64_t> &block_hits,
     size_t cap);
 
+/**
+ * A block-hit map as the `cov_map` object of the timeline's final
+ * record: `{"num_blocks":N,"edges":[[from,to],...],"block_hits":
+ * [[block,hits],...]}` — edges in the given (dense) order, one
+ * ascending pair per reached block. Per-edge hits stay out: the
+ * offline analyzer needs block hits only, and the timeline's `cov`
+ * sections already carry edges_hit. analysis::CovProfile decodes it.
+ */
+std::string covMapJson(
+    size_t num_blocks,
+    const std::vector<std::pair<uint32_t, uint32_t>> &edges,
+    const std::vector<uint64_t> &block_hits);
+
 /** Merged state at one merge point (live summary / final report). */
 struct CovSummary
 {
     uint64_t execs = 0;        ///< virtual time of the merge
-    uint64_t windows = 0;      ///< snapshot windows emitted so far
+    uint64_t windows = 0;      ///< merge points so far
     size_t blocks_hit = 0;
     size_t edges_hit = 0;
     uint64_t total_block_hits = 0;
@@ -149,7 +163,7 @@ struct CovSummary
     std::vector<FrontierEntry> top_frontier;
 };
 
-/** The campaign-wide accumulator: shards + merged map + snapshot log. */
+/** The campaign-wide accumulator: shards + merged map + summary. */
 class CovMap
 {
   public:
@@ -157,7 +171,6 @@ class CovMap
     static constexpr size_t kSummaryFrontierCap = 16;
 
     CovMap(CovMapPlan plan, size_t workers);
-    ~CovMap();
 
     CovMap(const CovMap &) = delete;
     CovMap &operator=(const CovMap &) = delete;
@@ -169,27 +182,18 @@ class CovMap
     CovShard &shard(size_t w) { return *shards_[w]; }
 
     /**
-     * Open the delta-encoded JSONL snapshot log and write its header
-     * line. `extra_header_json` is spliced into the header object
-     * (e.g. `"kernel":{"seed":7,"version":"6.8"}`); pass "" for none.
-     * Returns false (and stays closed) when the file cannot be opened.
-     */
-    bool openLog(const std::string &path,
-                 const std::string &extra_header_json = "");
-
-    /**
-     * Merge point: fold every shard into the cumulative map, emit one
-     * delta window to the log (when open), refresh the live summary
-     * and the covmap.* metrics. Callers must serialize merge points —
-     * the campaign's in-order checkpoint emission already does.
+     * Merge point: fold every shard into the cumulative map, refresh
+     * the live summary and the covmap.* metrics. Callers must
+     * serialize merge points — the campaign's in-order checkpoint
+     * emission already does.
      */
     void onCheckpoint(uint64_t execs);
 
-    /**
-     * Final merge + `covmap_final` log line + log close. Idempotent;
-     * safe without an open log (still merges and refreshes summary).
-     */
+    /** Final merge; later merge points are ignored. Idempotent. */
     void finalize(uint64_t execs);
+
+    /** covMapJson of the map as of the last merge point. */
+    std::string mapJson() const;
 
     /** @name Merged views (fold shards now; any thread) */
     /** @{ */
@@ -219,8 +223,8 @@ class CovMap
                     std::vector<uint64_t> &edges,
                     uint64_t &stray) const;
 
-    /** Merge + window emit; caller holds mu_. */
-    void mergeLocked(uint64_t execs, bool emit_window);
+    /** Merge + summary refresh; caller holds mu_. */
+    void mergeLocked(uint64_t execs);
 
     const CovMapPlan plan_;
     std::vector<std::unique_ptr<CovShard>> shards_;
@@ -231,7 +235,6 @@ class CovMap
     std::vector<uint64_t> merged_edges_;
     uint64_t merged_stray_ = 0;
     CovSummary summary_;
-    std::FILE *log_ = nullptr;
     bool finalized_ = false;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/covmap.h"
 #include "obs/telemetry.h"
 #include "util/logging.h"
 
@@ -333,7 +334,8 @@ TimelineRecorder::onCheckpoint(const TimelineTick &tick)
 }
 
 void
-TimelineRecorder::finalize(const TimelineTick &tick)
+TimelineRecorder::finalize(const TimelineTick &tick,
+                           const CovMap *cov_map)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (finalized_)
@@ -422,7 +424,12 @@ TimelineRecorder::finalize(const TimelineTick &tick)
             line += '}';
             first = false;
         });
-    line += "}}\n";
+    line += '}';
+    if (cov_map != nullptr) {
+        line += ",\"cov_map\":";
+        line += cov_map->mapJson();
+    }
+    line += "}\n";
     std::fwrite(line.data(), 1, line.size(), log_);
     std::fclose(log_);
     log_ = nullptr;

@@ -50,6 +50,8 @@
 
 namespace sp::obs {
 
+class CovMap;
+
 /** One policy arm's merged posterior counts at a sample point. */
 struct TimelineArm
 {
@@ -166,10 +168,14 @@ class TimelineRecorder
     /**
      * Final sample + `timeline_final` line (cumulative counters, full
      * histogram percentile summaries — the one place a full
-     * Histogram::snapshot() runs) + log close. Idempotent; safe
-     * without an open log (the ring still gets the final sample).
+     * Histogram::snapshot() runs) + log close. A non-null, finalized
+     * `cov_map` appends its merged block-hit map as the record's
+     * `cov_map` object (CovMap::mapJson; the `analyze` input).
+     * Idempotent; safe without an open log (the ring still gets the
+     * final sample).
      */
-    void finalize(const TimelineTick &tick);
+    void finalize(const TimelineTick &tick,
+                  const CovMap *cov_map = nullptr);
 
     /** Samples recorded so far (including the final one). */
     size_t sampleCount() const;

@@ -345,6 +345,10 @@ Value::asInt(int64_t fallback) const
                      std::numeric_limits<int64_t>::max())) {
         return static_cast<int64_t>(uint_);
     }
+    // Out-of-range (or infinite) doubles have no integer value; the
+    // cast would be undefined.
+    if (!(num_ >= -0x1p63 && num_ < 0x1p63))
+        return fallback;
     return static_cast<int64_t>(num_);
 }
 
@@ -357,7 +361,9 @@ Value::asUint(uint64_t fallback) const
         return uint_;
     if (int_exact_ && int_ >= 0)
         return static_cast<uint64_t>(int_);
-    return num_ < 0 ? fallback : static_cast<uint64_t>(num_);
+    if (!(num_ >= 0.0 && num_ < 0x1p64))
+        return fallback;
+    return static_cast<uint64_t>(num_);
 }
 
 const std::string &

@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal recursive-descent JSON reader for the repo's own machine
- * artifacts (covmap snapshot logs, analyze reports, checkpoint JSONL).
+ * artifacts (timeline logs, analyze reports, checkpoint JSONL).
  *
  * Scope is deliberately small: parse a complete value from a string
  * into a Value tree (null / bool / number / string / array / object).
@@ -51,9 +51,12 @@ class Value
     double number(double fallback = 0.0) const;
     /** Exact integer when the literal was integral and in range,
      *  otherwise a truncation of the double (or `fallback` for
-     *  non-numbers). */
+     *  non-numbers and doubles outside the target range). */
     int64_t asInt(int64_t fallback = 0) const;
     uint64_t asUint(uint64_t fallback = 0) const;
+    /** True when the literal was a non-negative integer that fits
+     *  uint64, i.e. asUint() returns it exactly. */
+    bool isUint() const { return kind_ == Kind::Number && uint_exact_; }
     const std::string &str() const;           ///< "" for non-strings
     const std::vector<Value> &array() const;  ///< empty for non-arrays
     const Members &members() const;           ///< empty for non-objects

@@ -211,7 +211,8 @@ TEST(TimelineRecorder, WritesDeltaEncodedArtifact)
     std::remove(path.c_str());
 }
 
-/** One campaign with covmap + timeline artifact; returns the bytes. */
+/** One campaign's timeline artifact, cov_map included; returns the
+ *  bytes. */
 std::string
 runArtifact(const std::string &path, uint64_t seed, size_t workers)
 {
@@ -232,8 +233,9 @@ runArtifact(const std::string &path, uint64_t seed, size_t workers)
     fin.edges = report.final_edges;
     fin.blocks = report.final_blocks;
     fin.crashes = report.final_crashes;
-    recorder.finalize(fuzz::makeTimelineTick(
-        fin, report.corpus_size, &map, engine.policy()));
+    recorder.finalize(fuzz::makeTimelineTick(fin, report.corpus_size,
+                                             &map, engine.policy()),
+                      &map);
     return readFile(path);
 }
 

@@ -364,13 +364,23 @@ TEST(Json, ParsesScalarsWithExactIntegers)
     ASSERT_TRUE(frac.ok());
     EXPECT_DOUBLE_EQ(frac.value.number(), 250.0);
     EXPECT_EQ(frac.value.asInt(), 250);
+
+    EXPECT_TRUE(big.value.isUint());
+    EXPECT_FALSE(neg.value.isUint() || frac.value.isUint());
+
+    // Doubles outside the integer range read as the fallback, not as
+    // an undefined cast.
+    for (const char *text : {"1e30", "-1e30", "1e400", "2e19"}) {
+        EXPECT_EQ(json::parse(text).value.asUint(7), 7u) << text;
+        EXPECT_EQ(json::parse(text).value.asInt(-7), -7) << text;
+    }
 }
 
 TEST(Json, ParsesStringsWithEscapes)
 {
-    auto plain = json::parse("\"covmap_window\"");
+    auto plain = json::parse("\"timeline_sample\"");
     ASSERT_TRUE(plain.ok());
-    EXPECT_EQ(plain.value.str(), "covmap_window");
+    EXPECT_EQ(plain.value.str(), "timeline_sample");
 
     auto escaped = json::parse(R"("a\"b\\c\n\tA")");
     ASSERT_TRUE(escaped.ok()) << escaped.error;
@@ -385,7 +395,7 @@ TEST(Json, ParsesStringsWithEscapes)
 TEST(Json, ParsesArraysAndObjectsPreservingOrder)
 {
     auto parsed = json::parse(
-        R"({"type":"covmap_window","deltas":[[3,2],[7,1]],"n":0})");
+        R"({"type":"timeline_sample","deltas":[[3,2],[7,1]],"n":0})");
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     const json::Value &obj = parsed.value;
     ASSERT_TRUE(obj.isObject());
@@ -393,7 +403,7 @@ TEST(Json, ParsesArraysAndObjectsPreservingOrder)
     // Emission order is preserved, not sorted.
     EXPECT_EQ(obj.members()[0].first, "type");
     EXPECT_EQ(obj.members()[1].first, "deltas");
-    EXPECT_EQ(obj.find("type")->str(), "covmap_window");
+    EXPECT_EQ(obj.find("type")->str(), "timeline_sample");
 
     const json::Value *deltas = obj.find("deltas");
     ASSERT_NE(deltas, nullptr);
