@@ -15,9 +15,9 @@
 // including the ones it was not trained on.
 
 // Run with an argument — `fig6_coverage out.jsonl` — to additionally
-// stream every (system, seed, checkpoint) point as "fig6_point" JSONL
-// events plus a "fig6_summary" per kernel, so the figure's curves can
-// be regenerated from the telemetry file instead of scraping stdout.
+// write every (kernel, system, seed, checkpoint) point as one JSON
+// line, so the figure's curves can be regenerated from that file
+// instead of scraping stdout.
 //
 // `--workers N` runs every campaign on the multi-worker engine (the
 // checkpoint grid, and therefore the figure's x-axis, is identical at
@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "util/json.h"
 #include "util/stats.h"
 
 namespace {
@@ -75,9 +75,31 @@ struct Band
     }
 };
 
+/** One JSON line per checkpoint of `timeline` (no-op when `out` is
+ *  null). */
+void
+writePoints(std::FILE *out, const char *version, const char *system,
+            int seed, const std::vector<sp::fuzz::Checkpoint> &timeline)
+{
+    if (out == nullptr)
+        return;
+    const std::string kernel = sp::json::quote(version);
+    for (const auto &cp : timeline) {
+        std::fprintf(out,
+                     "{\"kernel\":%s,\"system\":\"%s\",\"seed\":%d,"
+                     "\"execs\":%llu,\"hours\":%s,\"edges\":%zu,"
+                     "\"blocks\":%zu,\"crashes\":%zu}\n",
+                     kernel.c_str(), system, seed,
+                     static_cast<unsigned long long>(cp.execs),
+                     sp::json::number(spbench::toHours(cp.execs)).c_str(),
+                     cp.edges, cp.blocks, cp.crashes);
+    }
+}
+
 Band
 runCampaigns(const sp::kern::Kernel &kernel, const char *version,
-             bool snowplow, uint64_t budget, size_t workers)
+             bool snowplow, uint64_t budget, size_t workers,
+             std::FILE *points)
 {
     Band band;
     for (int seed = 0; seed < kSeeds; ++seed) {
@@ -98,20 +120,8 @@ runCampaigns(const sp::kern::Kernel &kernel, const char *version,
         }
         for (const auto &cp : report.timeline)
             series.push_back(cp.edges);
-        if (auto *sink = sp::obs::sink()) {
-            for (const auto &cp : report.timeline) {
-                sink->event("fig6_point",
-                            {{"kernel", version},
-                             {"system",
-                              snowplow ? "snowplow" : "syzkaller"},
-                             {"seed", seed},
-                             {"execs", cp.execs},
-                             {"hours", spbench::toHours(cp.execs)},
-                             {"edges", cp.edges},
-                             {"blocks", cp.blocks},
-                             {"crashes", cp.crashes}});
-            }
-        }
+        writePoints(points, version, snowplow ? "snowplow" : "syzkaller",
+                    seed, report.timeline);
         series.resize(band.execs.size(),
                       series.empty() ? 0 : series.back());
         band.edges.push_back(std::move(series));
@@ -131,6 +141,7 @@ main(int argc, char **argv)
     size_t workers = 1;
     obs::TraceOptions trace_opts;
     bool tracing = false;
+    std::FILE *points = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
             workers = static_cast<size_t>(
@@ -149,7 +160,11 @@ main(int argc, char **argv)
                 denom <= 0 ? 1 : static_cast<uint32_t>(denom);
             tracing = true;
         } else {
-            obs::installSink({.path = argv[i]});
+            points = std::fopen(argv[i], "w");
+            if (points == nullptr) {
+                std::fprintf(stderr, "cannot open '%s'\n", argv[i]);
+                return 1;
+            }
         }
     }
     if (tracing)
@@ -171,9 +186,9 @@ main(int argc, char **argv)
                     v == 0 ? " [training kernel]" : " [unseen]");
 
         auto syz = runCampaigns(kernel, versions[v], false,
-                                spbench::kDayInExecs, workers);
+                                spbench::kDayInExecs, workers, points);
         auto snow = runCampaigns(kernel, versions[v], true,
-                                 spbench::kDayInExecs, workers);
+                                 spbench::kDayInExecs, workers, points);
 
         // Series table every 2 virtual hours.
         std::printf("%6s | %27s | %27s\n", "hour",
@@ -225,19 +240,6 @@ main(int argc, char **argv)
         std::printf("  final band width  : syzkaller %.0f, snowplow "
                     "%.0f (paper: snowplow narrower)\n\n",
                     syz_band, snow_band);
-        if (auto *sink = obs::sink()) {
-            sink->event("fig6_summary",
-                        {{"kernel", versions[v]},
-                         {"workers", workers},
-                         {"syz_final_mean_edges", syz_final},
-                         {"snow_final_mean_edges", snow_final},
-                         {"improvement_pct", improvements[v]},
-                         {"parity_hours", parity_hours},
-                         {"speedup", speedup},
-                         {"bands_overlap_after_5h", overlap_after_5h},
-                         {"syz_band_width", syz_band},
-                         {"snow_band_width", snow_band}});
-        }
     }
 
     std::printf("--- Figure 6d: coverage improvement at 24 h ---\n");
@@ -252,6 +254,7 @@ main(int argc, char **argv)
             std::printf("trace written to %s\n",
                         trace_opts.path.c_str());
     }
-    obs::shutdownSink();
+    if (points != nullptr)
+        std::fclose(points);
     return 0;
 }

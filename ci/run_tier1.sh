@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 verification + telemetry smoke test.
+# Tier-1 verification + observability smoke test.
 #
 # Builds the tree, runs every ctest suite, then drives a short
-# snowplow_cli campaign with --metrics-out and asserts the emitted file
-# is valid JSONL carrying the events and registry snapshot the
-# observability layer promises (see DESIGN.md "Observability").
+# snowplow_cli campaign with --metrics-out and --timeline-out and
+# asserts the registry snapshot carries the headline metrics and the
+# timeline is a well-formed per-checkpoint artifact (see DESIGN.md
+# "Observability").
 #
 # Stage index:
-#   1  baseline campaign telemetry (JSONL events + registry snapshot)
-#   2  PMM train + async-inference campaign telemetry
+#   1  baseline campaign: registry snapshot thresholds + timeline
+#      artifact (header, checkpoint samples, final cov_map)
+#   2  PMM train + async-inference campaign: registry snapshot
+#      thresholds incl. infer.latency_us p95
 #   3  ThreadSanitizer pass over the concurrency-bearing suites
 #   4  perf gates: NN/trace/exec micro benches + covmap overhead
 #   5  introspection smoke: /metrics /status /coverage /timeline
@@ -36,78 +39,81 @@ cmake -B build -S .
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-baseline=$(mktemp /tmp/sp_ci_baseline.XXXXXX.jsonl)
-snowplow=$(mktemp /tmp/sp_ci_snowplow.XXXXXX.jsonl)
+baseline=$(mktemp /tmp/sp_ci_baseline.XXXXXX.json)
+snowplow=$(mktemp /tmp/sp_ci_snowplow.XXXXXX.json)
 ckpt=$(mktemp /tmp/sp_ci_pmm.XXXXXX.ckpt)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt"' EXIT
+tl_base=$(mktemp /tmp/sp_ci_tlbase.XXXXXX.jsonl)
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$tl_base"' EXIT
 
-# validate_jsonl FILE REQUIRED_EVENT... — every line parses, every
-# required event type appears, and the registry snapshot carries the
-# headline metrics.
-validate_jsonl() {
+# validate_snapshot FILE [infer] — FILE is one JSON document (the
+# registry snapshot --metrics-out writes at exit) carrying the headline
+# campaign metrics; with "infer", the inference latency histogram too.
+validate_snapshot() {
     python3 - "$@" <<'PY'
 import json
 import sys
 
-path, required = sys.argv[1], sys.argv[2:]
-events = {}
-snapshot = None
+path, checks = sys.argv[1], sys.argv[2:]
 with open(path) as f:
-    for lineno, line in enumerate(f, 1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            sys.exit(f"{path}:{lineno}: invalid JSON: {e}")
-        if "ev" not in record or "t_us" not in record:
-            sys.exit(f"{path}:{lineno}: missing ev/t_us")
-        events[record["ev"]] = events.get(record["ev"], 0) + 1
-        if record["ev"] == "registry_snapshot":
-            snapshot = record["registry"]
-
-for ev in required:
-    if ev not in events:
-        sys.exit(f"{path}: missing required event type: {ev}")
-if snapshot is None:
-    sys.exit(f"{path}: no registry snapshot")
-if "campaign_summary" in required:
-    counters = snapshot["counters"]
-    if counters.get("fuzz.execs", 0) < 5000:
-        sys.exit(f"{path}: fuzz.execs too low: "
-                 f"{counters.get('fuzz.execs')}")
-    if snapshot["gauges"].get("fuzz.execs_per_sec", 0) <= 0:
-        sys.exit(f"{path}: fuzz.execs_per_sec not set")
-    if "fuzz.mutant_success.arg" not in snapshot["gauges"]:
-        sys.exit(f"{path}: fuzz.mutant_success.arg not set")
-    if snapshot["histograms"]["exec.run_us"]["count"] < 5000:
-        sys.exit(f"{path}: exec.run_us histogram underpopulated")
-if "inference_latency" in required:
-    latency = snapshot["histograms"].get("infer.latency_us", {})
+    try:
+        snapshot = json.load(f)
+    except json.JSONDecodeError as e:
+        sys.exit(f"{path}: invalid JSON: {e}")
+for family in ("counters", "gauges", "histograms"):
+    if not isinstance(snapshot.get(family), dict):
+        sys.exit(f"{path}: missing {family} object")
+counters, gauges = snapshot["counters"], snapshot["gauges"]
+histograms = snapshot["histograms"]
+if counters.get("fuzz.execs", 0) < 5000:
+    sys.exit(f"{path}: fuzz.execs too low: {counters.get('fuzz.execs')}")
+if gauges.get("fuzz.execs_per_sec", 0) <= 0:
+    sys.exit(f"{path}: fuzz.execs_per_sec not set")
+if "fuzz.mutant_success.arg" not in gauges:
+    sys.exit(f"{path}: fuzz.mutant_success.arg not set")
+if histograms.get("exec.run_us", {}).get("count", 0) < 5000:
+    sys.exit(f"{path}: exec.run_us histogram underpopulated")
+if "infer" in checks:
+    latency = histograms.get("infer.latency_us", {})
     if latency.get("count", 0) <= 0 or "p95" not in latency:
         sys.exit(f"{path}: infer.latency_us p95 missing")
-print(f"{path}: {sum(events.values())} events "
-      f"({', '.join(f'{k}x{v}' for k, v in sorted(events.items()))})")
+print(f"{path}: {len(counters)} counters, {len(gauges)} gauges, "
+      f"{len(histograms)} histograms")
 PY
 }
 
-# Stage 1: baseline campaign — coverage/mutation/crash telemetry.
+# Stage 1: baseline campaign — registry snapshot plus the timeline,
+# the artifact that carries the per-checkpoint coverage record.
 ./build/examples/snowplow_cli fuzz --budget 5000 --seed 1 \
-    --metrics-out "$baseline" > /dev/null
-validate_jsonl "$baseline" \
-    coverage_checkpoint mutation_outcome campaign_summary \
-    registry_snapshot
+    --metrics-out "$baseline" --timeline-out "$tl_base" > /dev/null
+validate_snapshot "$baseline"
+python3 - "$tl_base" <<'PY'
+import sys
 
-# Stage 2: train a small PMM, then an async-inference Snowplow
-# campaign — adds train_epoch and inference_latency telemetry.
-./build/examples/snowplow_cli train --corpus 80 --mutations 80 \
-    --epochs 2 --out "$ckpt" > /dev/null 2>&1
+sys.path.insert(0, "ci")
+from timeline_check import validate_timeline
+
+path = sys.argv[1]
+# --metrics-out turns wall-clock timing on, so the header says so.
+final, _ = validate_timeline(path, need_cov_map=True, timing=True)
+if final["execs"] < 5000:
+    sys.exit(f"{path}: final record at {final['execs']} execs")
+print(f"{path}: {final['samples']} checkpoint samples, "
+      f"{final['edges']} edges")
+PY
+
+# Stage 2: train a small PMM (printing its per-epoch curve), then an
+# async-inference Snowplow campaign — the snapshot adds the inference
+# latency histogram.
+train_log=$(./build/examples/snowplow_cli train --corpus 80 \
+    --mutations 80 --epochs 2 --out "$ckpt" 2> /dev/null)
+[ "$(grep -c '^epoch ' <<< "$train_log")" -eq 2 ] || {
+    echo "train: expected one curve line per epoch"; exit 1; }
 ./build/examples/snowplow_cli fuzz --budget 5000 --seed 1 \
     --pmm "$ckpt" --async 2 --metrics-out "$snowplow" > /dev/null
-validate_jsonl "$snowplow" \
-    coverage_checkpoint mutation_outcome inference_latency \
-    campaign_summary registry_snapshot
+validate_snapshot "$snowplow" infer
 
 # Stage 3: ThreadSanitizer pass over the concurrency-bearing suites —
-# the sharded corpus, campaign engine, prediction cache and telemetry
+# the sharded corpus, campaign engine, prediction cache and metrics
 # registry all run multi-threaded in production, so they must be clean
 # under -fsanitize=thread (a separate build tree; TSan and the regular
 # flags cannot share objects).
@@ -232,9 +238,9 @@ PY
 # and that the exported trace parses as Chrome trace_event JSON
 # covering the pipeline.
 trace_json=$(mktemp /tmp/sp_ci_trace.XXXXXX.json)
-introspect=$(mktemp /tmp/sp_ci_introspect.XXXXXX.jsonl)
+introspect=$(mktemp /tmp/sp_ci_introspect.XXXXXX.json)
 tl_live=$(mktemp /tmp/sp_ci_tllive.XXXXXX.jsonl)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$tl_live"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$tl_base" "$trace_json" "$introspect" "$tl_live"' EXIT
 python3 - "$trace_json" "$introspect" "$tl_live" <<'PY'
 import json
 import re
@@ -381,7 +387,7 @@ PY
 # through `fuzz --directed-from`.
 cov_log=$(mktemp /tmp/sp_ci_covlog.XXXXXX.jsonl)
 cov_report=$(mktemp /tmp/sp_ci_covreport.XXXXXX.json)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$tl_live" "$cov_log" "$cov_report"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$tl_base" "$trace_json" "$introspect" "$tl_live" "$cov_log" "$cov_report"' EXIT
 ./build/examples/snowplow_cli fuzz --budget 5000 --seed 1 --workers 2 \
     --timeline-out "$cov_log" > /dev/null
 ./build/examples/snowplow_cli analyze "$cov_log" --seed 1 \
@@ -445,7 +451,7 @@ echo "coverage cartography round trip: OK"
 # determinism-parity contract of data::StreamSource), plus a short
 # harvesting campaign whose shard must load and stat cleanly.
 store_dir=$(mktemp -d /tmp/sp_ci_store.XXXXXX)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$tl_base" "$trace_json" "$introspect"; rm -rf "$store_dir"' EXIT
 ./build/examples/snowplow_cli dataset collect --out "$store_dir" \
     --shards 2 --corpus 60 --mutations 60 > /dev/null
 ./build/examples/snowplow_cli dataset merge \
@@ -531,7 +537,7 @@ PY
 # Stage 9: timeline observatory regression gate.
 #
 # BENCH_timeline.json is the committed --timeline-out artifact of the
-# canonical campaign below (no metrics sink => no wall clock anywhere
+# canonical campaign below (no --metrics-out => no wall clock anywhere
 # in the artifact; --workers 1 => the serialized checkpoint owner is
 # the only sampler; the bytes are reproducible run-to-run). The stage
 # re-runs that campaign, schema-checks the artifacts, and requires
@@ -550,7 +556,7 @@ tl_fresh=$(mktemp /tmp/sp_ci_tlfresh.XXXXXX.jsonl)
 tl_thompson=$(mktemp /tmp/sp_ci_tlthom.XXXXXX.jsonl)
 cmp_base=$(mktemp /tmp/sp_ci_cmpbase.XXXXXX.json)
 cmp_policy=$(mktemp /tmp/sp_ci_cmppol.XXXXXX.json)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$tl_live" "$tl_fresh" "$tl_thompson" "$cmp_base" "$cmp_policy"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$tl_base" "$trace_json" "$introspect" "$tl_live" "$tl_fresh" "$tl_thompson" "$cmp_base" "$cmp_policy"; rm -rf "$store_dir"' EXIT
 ./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 --workers 1 \
     --policy static --timeline-out "$tl_fresh" > /dev/null
 ./build/examples/snowplow_cli fuzz --budget 6000 --seed 5 --workers 1 \
@@ -694,7 +700,7 @@ PY
 # idles in --status-hold.
 fleet_tl=$(mktemp /tmp/sp_ci_fleettl.XXXXXX.jsonl)
 fleet_cmp=$(mktemp /tmp/sp_ci_fleetcmp.XXXXXX.json)
-trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$trace_json" "$introspect" "$tl_live" "$tl_fresh" "$tl_thompson" "$cmp_base" "$cmp_policy" "$fleet_tl" "$fleet_cmp"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$baseline" "$snowplow" "$ckpt" "$tl_base" "$trace_json" "$introspect" "$tl_live" "$tl_fresh" "$tl_thompson" "$cmp_base" "$cmp_policy" "$fleet_tl" "$fleet_cmp"; rm -rf "$store_dir"' EXIT
 python3 - "$fleet_tl" <<'PY'
 import json
 import re
@@ -840,4 +846,4 @@ cmake --build build-asan -j"$(nproc)"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j"$(nproc)"
 
-echo "tier-1 + telemetry + perf + introspection + cartography + policy + timeline + fleet + asan/ubsan smoke: OK"
+echo "tier-1 + metrics + perf + introspection + cartography + policy + timeline + fleet + asan/ubsan smoke: OK"

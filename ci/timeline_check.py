@@ -1,6 +1,6 @@
 """Shape and consistency checks for `--timeline-out` artifacts.
 
-Imported by ci/run_tier1.sh stages 6 and 9 (run from the repo root);
+Imported by ci/run_tier1.sh stages 1, 6 and 9 (run from the repo root);
 the shape contract is ci/schemas/timeline_log.schema.json.
 """
 import json
@@ -26,11 +26,13 @@ def is_uint_pair(pair):
             all(type(v) is int and v >= 0 for v in pair))
 
 
-def validate_timeline(path, need_cov_map=False):
+def validate_timeline(path, need_cov_map=False, timing=False):
     """Header + delta samples + final; returns (final, hits) where
     hits is the per-block map rebuilt from the final record's cov_map
     (None when absent). need_cov_map requires a cov window in every
-    record and the map in the final one."""
+    record and the map in the final one. timing is whether the
+    campaign ran with wall-clock timing on (--metrics-out); the header
+    must say exactly that."""
     with open("ci/schemas/timeline_log.schema.json") as f:
         schema = json.load(f)
     with open(path) as f:
@@ -43,9 +45,11 @@ def validate_timeline(path, need_cov_map=False):
         sys.exit(f"{path}: first line is not timeline_header")
     if header["version"] != schema["version"]:
         sys.exit(f"{path}: version {header['version']} unsupported")
-    if header["timing"]:
+    if header["timing"] and not timing:
         sys.exit(f"{path}: baseline campaign must not record wall "
                  "clock (it would not be reproducible)")
+    if timing and not header["timing"]:
+        sys.exit(f"{path}: timed campaign did not record wall clock")
 
     def check_sections(record, where):
         if "cov" in record:

@@ -34,7 +34,7 @@
 //       the campaign's per-block hit map (input to `analyze`); it
 //       serves the recent window on the status server's /timeline
 //       endpoint and the live coverage-frontier summary on /coverage.
-//       With --workers 1 and no --metrics-out sink the artifact is
+//       With --workers 1 and no --metrics-out the artifact is
 //       bit-reproducible for a given seed.
 //
 //   snowplow_cli train [--corpus N] [--mutations N] [--epochs N]
@@ -93,11 +93,10 @@
 //       directly diffable against a single-process campaign's with
 //       `sp_analysis compare`.
 //
-//   Every command additionally accepts --metrics-out FILE.jsonl: stream
-//   JSONL telemetry events (coverage checkpoints, mutation outcomes,
-//   inference latencies, training epochs, crash dedup decisions) to
-//   FILE and append a final metrics-registry snapshot. See the
-//   "Observability" section of DESIGN.md for the event schema.
+//   Every command additionally accepts --metrics-out FILE.json: turn on
+//   wall-clock timing and, at exit, write the metrics registry
+//   (counters, gauges, histogram percentiles) to FILE as one JSON
+//   document. See the "Observability" section of DESIGN.md.
 //
 //   Introspection flags (DESIGN.md §10):
 //     --trace-out FILE.json     export pipeline spans as Chrome/
@@ -138,8 +137,8 @@
 #include "kernel/subsystems.h"
 #include "nn/serialize.h"
 #include "obs/covmap.h"
+#include "obs/metrics.h"
 #include "obs/statusd.h"
-#include "obs/telemetry.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "prog/serialize.h"
@@ -536,6 +535,13 @@ cmdTrain(const Args &args)
     } else {
         history = core::trainPmm(model, dataset, train_opts);
     }
+    for (const core::EpochRecord &epoch : history.epochs) {
+        std::printf("epoch %d: loss %.4f  F1 %.3f  P %.3f  R %.3f  "
+                    "J %.3f\n",
+                    epoch.epoch, epoch.train_loss, epoch.valid.f1,
+                    epoch.valid.precision, epoch.valid.recall,
+                    epoch.valid.jaccard);
+    }
     auto metrics = core::evaluatePmm(model, dataset, dataset.eval,
                                      history.best_threshold);
     std::printf("eval: F1 %.3f  P %.3f  R %.3f  J %.3f  "
@@ -887,7 +893,7 @@ main(int argc, char **argv)
                      "usage: snowplow_cli "
                      "<kernel-stats|fuzz|train|dataset|directed|"
                      "analyze|corpus|fleet> "
-                     "[--flag value]... [--metrics-out FILE.jsonl]\n"
+                     "[--flag value]... [--metrics-out FILE.json]\n"
                      "       [--trace-out FILE.json] [--trace-sample "
                      "1/64] [--status-port P] [--status-hold 1]\n"
                      "       [--flightrec-dir DIR] "
@@ -896,8 +902,16 @@ main(int argc, char **argv)
     }
     const Args args(argc, argv);
     const std::string metrics_out = args.get("metrics-out", "");
-    if (!metrics_out.empty())
-        sp::obs::installSink({.path = metrics_out});
+    std::FILE *metrics_file = nullptr;
+    if (!metrics_out.empty()) {
+        metrics_file = std::fopen(metrics_out.c_str(), "w");
+        if (metrics_file == nullptr) {
+            std::fprintf(stderr, "cannot open metrics file '%s'\n",
+                         metrics_out.c_str());
+            return 2;
+        }
+        sp::obs::setTimingEnabled(true);
+    }
 
     const std::string trace_out = args.get("trace-out", "");
     const uint64_t stall_ms = args.getU64("stall-timeout-ms", 0);
@@ -942,10 +956,16 @@ main(int argc, char **argv)
             std::printf("trace written to %s\n", trace_out.c_str());
     }
 
-    if (!metrics_out.empty()) {
-        // Appends the final registry snapshot and closes the file.
-        sp::obs::shutdownSink();
-        std::printf("telemetry written to %s\n", metrics_out.c_str());
+    if (metrics_file != nullptr) {
+        const std::string snapshot =
+            sp::obs::Registry::global().snapshotJson();
+        std::fprintf(metrics_file, "%s\n", snapshot.c_str());
+        if (std::fclose(metrics_file) != 0) {
+            std::fprintf(stderr, "cannot write metrics file '%s'\n",
+                         metrics_out.c_str());
+            return rc != 0 ? rc : 1;
+        }
+        std::printf("metrics written to %s\n", metrics_out.c_str());
     }
     return rc;
 }

@@ -6,26 +6,12 @@
 #include <fstream>
 #include <set>
 
-#include "obs/telemetry.h"
 #include "util/json.h"
 #include "util/stats.h"
 
 namespace sp::analysis {
 
 namespace {
-
-using obs::jsonQuote;
-
-/** JSON number literal; non-finite values -> 0. */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
 
 /** Fixed-format number for the verdict table. */
 std::string
@@ -103,13 +89,13 @@ appendDelta(std::string &out, const char *key, const MetricDelta &d)
     out += '"';
     out += key;
     out += "\":{\"name\":";
-    out += jsonQuote(d.name);
+    out += json::quote(d.name);
     out += ",\"a\":";
-    out += jsonNumber(d.a);
+    out += json::number(d.a);
     out += ",\"b\":";
-    out += jsonNumber(d.b);
+    out += json::number(d.b);
     out += ",\"delta\":";
-    out += jsonNumber(d.b - d.a);
+    out += json::number(d.b - d.a);
     out += ",\"verdict\":\"";
     out += verdictName(d.verdict);
     out += "\"}";
@@ -507,9 +493,9 @@ compareJson(const CompareReport &report)
     out += "{\"type\":\"compare_report\",\"version\":";
     out += std::to_string(CompareReport::kFormatVersion);
     out += ",\"a\":";
-    out += jsonQuote(report.path_a);
+    out += json::quote(report.path_a);
     out += ",\"b\":";
-    out += jsonQuote(report.path_b);
+    out += json::quote(report.path_b);
     out += ",\"aligned\":{\"samples\":";
     out += std::to_string(report.aligned_samples);
     out += ",\"grid_end\":";
@@ -521,9 +507,9 @@ compareJson(const CompareReport &report)
     out += ",\"time_to_target\":{\"target_edges\":";
     out += std::to_string(report.target_edges);
     out += ",\"a\":";
-    out += jsonNumber(report.time_to_target.a);
+    out += json::number(report.time_to_target.a);
     out += ",\"b\":";
-    out += jsonNumber(report.time_to_target.b);
+    out += json::number(report.time_to_target.b);
     out += ",\"verdict\":\"";
     out += verdictName(report.time_to_target.verdict);
     out += "\"}},\"latency\":[";
@@ -532,11 +518,11 @@ compareJson(const CompareReport &report)
         if (i != 0)
             out += ',';
         out += "{\"name\":";
-        out += jsonQuote(d.name);
+        out += json::quote(d.name);
         out += ",\"p50_a\":";
-        out += jsonNumber(d.a);
+        out += json::number(d.a);
         out += ",\"p50_b\":";
-        out += jsonNumber(d.b);
+        out += json::number(d.b);
         out += ",\"verdict\":\"";
         out += verdictName(d.verdict);
         out += "\"}";
@@ -547,48 +533,48 @@ compareJson(const CompareReport &report)
         if (i != 0)
             out += ',';
         out += "{\"name\":";
-        out += jsonQuote(d.name);
+        out += json::quote(d.name);
         out += ",\"a\":";
-        out += jsonNumber(d.a);
+        out += json::number(d.a);
         out += ",\"b\":";
-        out += jsonNumber(d.b);
+        out += json::number(d.b);
         out += ",\"delta\":";
-        out += jsonNumber(d.b - d.a);
+        out += json::number(d.b - d.a);
         out += '}';
     }
     out += "],\"crashes\":{\"a\":";
-    out += jsonNumber(report.crashes.a);
+    out += json::number(report.crashes.a);
     out += ",\"b\":";
-    out += jsonNumber(report.crashes.b);
+    out += json::number(report.crashes.b);
     out += '}';
     if (report.have_policy) {
         out += ",\"policy\":{\"a\":";
-        out += jsonQuote(report.policy_a);
+        out += json::quote(report.policy_a);
         out += ",\"b\":";
-        out += jsonQuote(report.policy_b);
+        out += json::quote(report.policy_b);
         out += ",\"pmm_share_a\":";
-        out += jsonNumber(report.pmm_share_a);
+        out += json::number(report.pmm_share_a);
         out += ",\"pmm_share_b\":";
-        out += jsonNumber(report.pmm_share_b);
+        out += json::number(report.pmm_share_b);
         out += ",\"arm_divergence\":";
-        out += jsonNumber(report.arm_divergence);
+        out += json::number(report.arm_divergence);
         out += '}';
     }
     out += ",\"thresholds\":{\"final_edges_tol\":";
-    out += jsonNumber(report.opts.final_edges_tol);
+    out += json::number(report.opts.final_edges_tol);
     out += ",\"auc_tol\":";
-    out += jsonNumber(report.opts.auc_tol);
+    out += json::number(report.opts.auc_tol);
     out += ",\"time_to_frac\":";
-    out += jsonNumber(report.opts.time_to_frac);
+    out += json::number(report.opts.time_to_frac);
     out += ",\"time_to_tol\":";
-    out += jsonNumber(report.opts.time_to_tol);
+    out += json::number(report.opts.time_to_tol);
     out += ",\"latency_tol\":";
-    out += jsonNumber(report.opts.latency_tol);
+    out += json::number(report.opts.latency_tol);
     out += "},\"regressions\":[";
     for (size_t i = 0; i < report.regressions.size(); ++i) {
         if (i != 0)
             out += ',';
-        out += jsonQuote(report.regressions[i]);
+        out += json::quote(report.regressions[i]);
     }
     out += "],\"verdict\":\"";
     out += report.regressed() ? "regressed" : "ok";

@@ -4,11 +4,9 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/telemetry.h"
+#include "util/json.h"
 
 namespace sp::analysis {
-
-using obs::jsonQuote;
 
 Analysis
 analyze(CovProfile profile, const kern::Kernel *kernel,
@@ -40,7 +38,7 @@ reportJson(const Analysis &analysis, const std::string &source_path)
     std::string out;
     out.reserve(1024);
     out += "{\"type\":\"covmap_report\",\"version\":1,\"source\":";
-    out += jsonQuote(source_path);
+    out += json::quote(source_path);
     out += ",\"execs\":" + std::to_string(profile.execs);
     out += ",\"windows\":" + std::to_string(profile.windows.size());
     out += ",\"blocks_total\":" + std::to_string(profile.num_blocks);
@@ -67,7 +65,7 @@ reportJson(const Analysis &analysis, const std::string &source_path)
         const SubsystemHeat &group = analysis.subsystems[i];
         if (i != 0)
             out += ',';
-        out += "{\"name\":" + jsonQuote(group.name);
+        out += "{\"name\":" + json::quote(group.name);
         out += ",\"blocks\":" + std::to_string(group.blocks);
         out += ",\"reached\":" + std::to_string(group.reached);
         out += ",\"hot\":" + std::to_string(group.hot);
@@ -86,7 +84,7 @@ reportJson(const Analysis &analysis, const std::string &source_path)
         out += "{\"block\":" + std::to_string(target.target);
         out += ",\"guard\":" + std::to_string(target.guard);
         out += ",\"guard_hits\":" + std::to_string(target.guard_hits);
-        out += ",\"subsystem\":" + jsonQuote(target.subsystem);
+        out += ",\"subsystem\":" + json::quote(target.subsystem);
         out += ",\"bug_site\":";
         out += target.bug_site ? "true" : "false";
         out += '}';

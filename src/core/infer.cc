@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "nn/inference.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -149,10 +148,6 @@ InferenceService::workerLoop(size_t worker)
         latency_us_.record(latency);
         if (obs::timingEnabled())
             metrics.latency_us.record(latency);
-        if (auto *sink = obs::sink()) {
-            sink->event("inference_latency", {{"latency_us", latency},
-                                              {"queue_depth", depth}});
-        }
         request.promise.set_value(std::move(probs));
     }
 }

@@ -8,7 +8,6 @@
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/timer.h"
 #include "util/logging.h"
 
@@ -374,16 +373,6 @@ trainPmmFromSource(Pmm &model, const Dataset &dataset,
             trained == 0 ? 0.0 : loss_total / static_cast<double>(trained);
         record.valid = evaluatePmm(model, dataset, dataset.valid);
         history.epochs.push_back(record);
-        if (auto *sink = obs::sink()) {
-            sink->event("train_epoch",
-                        {{"epoch", epoch},
-                         {"train_loss", record.train_loss},
-                         {"valid_f1", record.valid.f1},
-                         {"valid_precision", record.valid.precision},
-                         {"valid_recall", record.valid.recall},
-                         {"valid_jaccard", record.valid.jaccard},
-                         {"examples", trained}});
-        }
         if (opts.verbose) {
             SP_INFORM("epoch %d: loss %.4f valid F1 %.3f", epoch,
                       record.train_loss, record.valid.f1);

@@ -11,6 +11,7 @@
 #include "kernel/kernel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -270,10 +271,10 @@ Coordinator::campaignJsonLocked() const
     out += std::to_string(aggregate_.blockCount());
     out += ",\"unique_crashes\":";
     out += std::to_string(aggregate_.uniqueCrashes());
-    out += ",\"policy\":{\"name\":\"";
-    out += aggregate_.havePolicy() ? aggregate_.policyName()
-                                   : std::string("none");
-    out += "\",\"pmm_share\":";
+    out += ",\"policy\":{\"name\":";
+    out += json::quote(aggregate_.havePolicy() ? aggregate_.policyName()
+                                               : std::string("none"));
+    out += ",\"pmm_share\":";
     out += jsonDouble(aggregate_.pmmShare());
     uint64_t pulls = 0;
     uint64_t wins = 0;

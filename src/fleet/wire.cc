@@ -364,6 +364,10 @@ LeaseResultMsg::decode(const std::vector<uint8_t> &payload)
     if (have_policy) {
         policy_name = r.str();
         pmm_share = std::bit_cast<double>(r.u64());
+        // A share is a fraction: NaN, inf or anything outside [0, 1]
+        // would poison the fleet-wide average for good.
+        if (!(pmm_share >= 0.0 && pmm_share <= 1.0))
+            return false;
         const uint32_t narms = r.u32();
         for (uint32_t i = 0; i < narms && r.ok(); ++i) {
             WireArm arm;

@@ -203,7 +203,7 @@ struct LeaseResultMsg
     /** Policy posterior deltas (per-arm pulls/wins of this lease). */
     bool have_policy = false;
     std::string policy_name;
-    double pmm_share = 0.0;
+    double pmm_share = 0.0;  ///< in [0, 1]; decode() rejects others
     std::vector<WireArm> arms;
 
     /** Harvested training shard bytes (content-addressed at receipt). */

@@ -8,7 +8,6 @@
 
 #include "obs/covmap.h"
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "prog/gen.h"
@@ -46,7 +45,7 @@ struct CampaignShared
     /** Wakes boundary owners waiting for the previous checkpoint. */
     std::mutex checkpoint_mu;
     std::condition_variable checkpoint_cv;
-    /** Edge count at the previous checkpoint (telemetry deltas); only
+    /** Edge count at the previous checkpoint (edge_delta histogram); only
      *  the in-order checkpoint owner touches it. */
     size_t last_checkpoint_edges = 0;
 
@@ -98,20 +97,6 @@ boardStage(const WorkerEnv &env, obs::WorkerStage stage,
 {
     if (obs::introspectionEnabled())
         obs::statusBoard().setStage(env.worker_id, stage, slot);
-}
-
-const char *
-laneName(MutationLane lane)
-{
-    switch (lane) {
-      case MutationLane::Seed:
-        return "seed";
-      case MutationLane::Argument:
-        return "arg";
-      case MutationLane::Structural:
-        return "structural";
-    }
-    return "?";
 }
 
 /** Registry handles for the fuzz-loop counters (looked up once). */
@@ -199,16 +184,6 @@ maybeEmitCheckpoint(WorkerEnv &env, uint64_t slot)
                 "fuzz.checkpoint.edge_delta");
         delta_hist.record(
             static_cast<double>(cp.edges - shared.last_checkpoint_edges));
-    }
-    if (auto *sink = obs::sink()) {
-        sink->event(
-            "coverage_checkpoint",
-            {{"execs", cp.execs},
-             {"edges", cp.edges},
-             {"blocks", cp.blocks},
-             {"crashes", cp.crashes},
-             {"edge_delta", cp.edges - shared.last_checkpoint_edges},
-             {"corpus_size", shared.corpus->size()}});
     }
     shared.last_checkpoint_edges = cp.edges;
     // Covmap merge point: still before the checkpoints_done publish,
@@ -330,19 +305,6 @@ executeSlot(WorkerEnv &env, const prog::Prog &program,
         event.admitted = admitted;
         event.new_edges = new_edges;
         (*shared.observer)(event);
-    }
-    if (auto *sink = obs::sink()) {
-        sink->event(
-            "mutation_outcome",
-            {{"execs", slot},
-             {"lane", laneName(lane)},
-             {"calls", program.calls.size()},
-             {"admitted", admitted},
-             {"crashed", result.crashed},
-             {"new_edges", new_edges},
-             {"site_call",
-              site ? static_cast<int64_t>(site->call_index)
-                   : int64_t{-1}}});
     }
     shared.ledger->complete(grant);
     maybeEmitCheckpoint(env, slot);
@@ -583,14 +545,13 @@ workerLoop(WorkerEnv &env, const kern::Kernel &kernel)
 }
 
 /**
- * Assemble the FuzzReport, set the end-of-run gauges and emit the
- * `campaign_summary` telemetry event (with final crash and per-lane
- * admission totals). `execs` is the campaign's completed slot count,
- * `wall_sec` its wall-clock duration.
+ * Assemble the FuzzReport and set the end-of-run gauges. `execs` is
+ * the campaign's completed slot count, `wall_sec` its wall-clock
+ * duration.
  */
 FuzzReport
 finalizeCampaign(const CampaignShared &shared, uint64_t execs,
-                 double wall_sec, size_t workers)
+                 double wall_sec)
 {
     FuzzReport report;
     report.timeline = shared.board;
@@ -627,28 +588,6 @@ finalizeCampaign(const CampaignShared &shared, uint64_t execs,
     // (workers have joined; the final merge is single-threaded).
     if (shared.policy != nullptr)
         shared.policy->exportMetrics();
-    if (auto *sink = obs::sink()) {
-        sink->event(
-            "campaign_summary",
-            {{"execs", execs},
-             {"wall_sec", wall_sec},
-             {"execs_per_sec", execs_per_sec},
-             {"final_edges", report.final_edges},
-             {"final_blocks", report.final_blocks},
-             {"corpus_size", report.corpus_size},
-             {"unique_crashes", report.final_crashes},
-             {"arg_mutants", metrics.arg_mutants.value()},
-             {"structural_mutants", metrics.structural_mutants.value()},
-             {"workers", workers},
-             {"admitted_seed",
-              report.lane(MutationLane::Seed).admitted},
-             {"admitted_arg",
-              report.lane(MutationLane::Argument).admitted},
-             {"admitted_structural",
-              report.lane(MutationLane::Structural).admitted},
-             {"policy",
-              shared.policy != nullptr ? shared.policy->name() : "?"}});
-    }
     return report;
 }
 
@@ -856,8 +795,7 @@ CampaignEngine::run(const std::function<bool()> &stop)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    return finalizeCampaign(shared, ledger.completed(), wall_sec,
-                            opts_.workers);
+    return finalizeCampaign(shared, ledger.completed(), wall_sec);
 }
 
 }  // namespace sp::fuzz

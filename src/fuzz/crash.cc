@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "util/logging.h"
 
 namespace sp::fuzz {
@@ -22,28 +21,11 @@ CrashLog::record(uint32_t bug_index, const prog::Prog &trigger,
     if (it != by_bug_.end()) {
         ++records_[it->second].hit_count;
         obs::Registry::global().counter("crash.duplicate").inc();
-        if (auto *sink = obs::sink()) {
-            sink->event("crash_dedup",
-                        {{"bug_index", bug_index},
-                         {"duplicate", true},
-                         {"execs", exec_counter},
-                         {"hits", records_[it->second].hit_count}});
-        }
         return;
     }
     SP_ASSERT(bug_index < kernel_.bugs().size());
     const kern::BugSite &bug = kernel_.bugs()[bug_index];
     obs::Registry::global().counter("crash.unique").inc();
-    if (auto *sink = obs::sink()) {
-        sink->event("crash_dedup",
-                    {{"bug_index", bug_index},
-                     {"duplicate", false},
-                     {"execs", exec_counter},
-                     {"known", bug.known},
-                     {"flaky", bug.flaky},
-                     {"description", bug.description},
-                     {"location", bug.location}});
-    }
 
     CrashRecord record;
     record.bug_index = bug_index;

@@ -233,7 +233,7 @@ void
 CovMap::mergeLocked(uint64_t execs)
 {
     // Wall-clock merge cost is telemetry, not campaign state: gate it
-    // like every SP_TIMED span so sink-less runs keep the registry
+    // like every SP_TIMED span so timing-off runs keep the registry
     // free of machine-dependent values (timeline bit-reproducibility).
     const bool timed = timingEnabled();
     const uint64_t start_us = timed ? monotonicMicros() : 0;

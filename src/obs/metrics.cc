@@ -1,12 +1,10 @@
 #include "obs/metrics.h"
 
-#include <cmath>
-#include <cstdio>
 #include <functional>
 #include <sstream>
 #include <thread>
 
-#include "obs/telemetry.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace sp::obs {
@@ -14,17 +12,6 @@ namespace sp::obs {
 namespace {
 
 std::atomic<bool> g_timing_enabled{false};
-
-/** JSON number literal; non-finite values (empty-metric min/max) -> 0. */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
 
 }  // namespace
 
@@ -164,31 +151,31 @@ Registry::snapshotJson() const
     out << "{\"counters\":{";
     bool first = true;
     for (const auto &[name, counter] : counters_) {
-        out << (first ? "" : ",") << jsonQuote(name) << ":"
+        out << (first ? "" : ",") << json::quote(name) << ":"
             << counter->value();
         first = false;
     }
     out << "},\"gauges\":{";
     first = true;
     for (const auto &[name, gauge] : gauges_) {
-        out << (first ? "" : ",") << jsonQuote(name) << ":"
-            << jsonNumber(gauge->value());
+        out << (first ? "" : ",") << json::quote(name) << ":"
+            << json::number(gauge->value());
         first = false;
     }
     out << "},\"histograms\":{";
     first = true;
     for (const auto &[name, histogram] : histograms_) {
         const HistogramSnapshot snap = histogram->snapshot();
-        out << (first ? "" : ",") << jsonQuote(name) << ":{"
+        out << (first ? "" : ",") << json::quote(name) << ":{"
             << "\"count\":" << snap.stat.count()
-            << ",\"mean\":" << jsonNumber(snap.stat.mean())
-            << ",\"min\":" << jsonNumber(snap.stat.min())
-            << ",\"max\":" << jsonNumber(snap.stat.max())
-            << ",\"stddev\":" << jsonNumber(snap.stat.stddev())
-            << ",\"p50\":" << jsonNumber(snap.samples.percentile(50))
-            << ",\"p90\":" << jsonNumber(snap.samples.percentile(90))
-            << ",\"p95\":" << jsonNumber(snap.samples.percentile(95))
-            << ",\"p99\":" << jsonNumber(snap.samples.percentile(99))
+            << ",\"mean\":" << json::number(snap.stat.mean())
+            << ",\"min\":" << json::number(snap.stat.min())
+            << ",\"max\":" << json::number(snap.stat.max())
+            << ",\"stddev\":" << json::number(snap.stat.stddev())
+            << ",\"p50\":" << json::number(snap.samples.percentile(50))
+            << ",\"p90\":" << json::number(snap.samples.percentile(90))
+            << ",\"p95\":" << json::number(snap.samples.percentile(95))
+            << ",\"p99\":" << json::number(snap.samples.percentile(99))
             << "}";
         first = false;
     }

@@ -8,8 +8,8 @@
  * small set of shards so concurrent recorders almost never contend, and
  * the shards are folded together only at snapshot time via
  * RunningStat::merge()/Distribution::merge(). Timed spans (SP_TIMED in
- * timer.h) additionally gate on obs::timingEnabled() so a run with no
- * telemetry sink pays one relaxed load per span and nothing else.
+ * timer.h) additionally gate on obs::timingEnabled() so a run with
+ * timing off pays one relaxed load per span and nothing else.
  *
  * Metric handles returned by Registry are stable for the registry's
  * lifetime; instrumentation sites look a name up once (function-local
@@ -221,9 +221,9 @@ class Registry
 };
 
 /**
- * Gate for the timed-span hot paths. Off by default; installing a
- * telemetry sink (telemetry.h) turns it on, and tests/benchmarks can
- * flip it directly.
+ * Gate for the timed-span hot paths. Off by default; the CLI's
+ * `--metrics-out` turns it on, and tests/benchmarks can flip it
+ * directly.
  */
 bool timingEnabled();
 void setTimingEnabled(bool enabled);

@@ -1,10 +1,9 @@
 #include "obs/timeline.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/covmap.h"
-#include "obs/telemetry.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace sp::obs {
@@ -30,17 +29,6 @@ struct TimelineMetrics
         return metrics;
     }
 };
-
-/** JSON number literal; non-finite values (empty-stat min/max) -> 0. */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
 
 /** `value - base`, clamped at 0: a prefix reset between the baseline
  *  capture and the sample must read as "this campaign's count". */
@@ -203,9 +191,9 @@ TimelineRecorder::writeSampleLine(const TimelineSample &sample)
 
     if (sample.tick.have_policy) {
         line += ",\"policy\":{\"name\":";
-        line += jsonQuote(sample.tick.policy_name);
+        line += json::quote(sample.tick.policy_name);
         line += ",\"pmm_share\":";
-        line += jsonNumber(sample.tick.pmm_share);
+        line += json::number(sample.tick.pmm_share);
         line += ",\"arms\":[";
         bool first = true;
         for (const TimelineArm &arm : sample.tick.arms) {
@@ -242,7 +230,7 @@ TimelineRecorder::writeSampleLine(const TimelineSample &sample)
         if (delta == 0)
             continue;
         line += (first ? "" : ",");
-        line += jsonQuote(name);
+        line += json::quote(name);
         line += ':';
         line += std::to_string(delta);
         first = false;
@@ -255,9 +243,9 @@ TimelineRecorder::writeSampleLine(const TimelineSample &sample)
         if (value == prev)
             continue;
         line += (first ? "" : ",");
-        line += jsonQuote(name);
+        line += json::quote(name);
         line += ':';
-        line += jsonNumber(value);
+        line += json::number(value);
         first = false;
     }
     line += "},\"hists\":{";
@@ -271,15 +259,15 @@ TimelineRecorder::writeSampleLine(const TimelineSample &sample)
         if (delta == 0)
             continue;
         line += (first ? "" : ",");
-        line += jsonQuote(name);
+        line += json::quote(name);
         line += ":[";
         line += std::to_string(delta);
         line += ',';
-        line += jsonNumber(hist.mean);
+        line += json::number(hist.mean);
         line += ',';
-        line += jsonNumber(hist.min);
+        line += json::number(hist.min);
         line += ',';
-        line += jsonNumber(hist.max);
+        line += json::number(hist.max);
         line += ']';
         first = false;
     }
@@ -365,9 +353,9 @@ TimelineRecorder::finalize(const TimelineTick &tick,
     appendCov(line, sample.tick);
     if (sample.tick.have_policy) {
         line += ",\"policy\":{\"name\":";
-        line += jsonQuote(sample.tick.policy_name);
+        line += json::quote(sample.tick.policy_name);
         line += ",\"pmm_share\":";
-        line += jsonNumber(sample.tick.pmm_share);
+        line += json::number(sample.tick.pmm_share);
         line += ",\"arms\":[";
         for (size_t i = 0; i < sample.tick.arms.size(); ++i) {
             const TimelineArm &arm = sample.tick.arms[i];
@@ -387,7 +375,7 @@ TimelineRecorder::finalize(const TimelineTick &tick,
     bool first = true;
     for (const auto &[name, value] : sample.counters) {
         line += (first ? "" : ",");
-        line += jsonQuote(name);
+        line += json::quote(name);
         line += ':';
         line += std::to_string(value);
         first = false;
@@ -404,23 +392,23 @@ TimelineRecorder::finalize(const TimelineTick &tick,
             if (rel == 0)
                 return;
             line += (first ? "" : ",");
-            line += jsonQuote(name);
+            line += json::quote(name);
             line += ":{\"count\":";
             line += std::to_string(rel);
             line += ",\"mean\":";
-            line += jsonNumber(snap.stat.mean());
+            line += json::number(snap.stat.mean());
             line += ",\"min\":";
-            line += jsonNumber(snap.stat.min());
+            line += json::number(snap.stat.min());
             line += ",\"max\":";
-            line += jsonNumber(snap.stat.max());
+            line += json::number(snap.stat.max());
             line += ",\"stddev\":";
-            line += jsonNumber(snap.stat.stddev());
+            line += json::number(snap.stat.stddev());
             line += ",\"p50\":";
-            line += jsonNumber(snap.samples.percentile(50));
+            line += json::number(snap.samples.percentile(50));
             line += ",\"p90\":";
-            line += jsonNumber(snap.samples.percentile(90));
+            line += json::number(snap.samples.percentile(90));
             line += ",\"p99\":";
-            line += jsonNumber(snap.samples.percentile(99));
+            line += json::number(snap.samples.percentile(99));
             line += '}';
             first = false;
         });
@@ -470,9 +458,9 @@ TimelineRecorder::recentJson(size_t max_samples) const
         appendCov(out, sample.tick);
         if (sample.tick.have_policy) {
             out += ",\"policy\":{\"name\":";
-            out += jsonQuote(sample.tick.policy_name);
+            out += json::quote(sample.tick.policy_name);
             out += ",\"pmm_share\":";
-            out += jsonNumber(sample.tick.pmm_share);
+            out += json::number(sample.tick.pmm_share);
             out += ",\"arms_active\":";
             out += std::to_string(sample.tick.arms.size());
             out += '}';
@@ -481,7 +469,7 @@ TimelineRecorder::recentJson(size_t max_samples) const
         bool first = true;
         for (const auto &[name, value] : sample.counters) {
             out += (first ? "" : ",");
-            out += jsonQuote(name);
+            out += json::quote(name);
             out += ':';
             out += std::to_string(value);
             first = false;
@@ -490,24 +478,24 @@ TimelineRecorder::recentJson(size_t max_samples) const
         first = true;
         for (const auto &[name, value] : sample.gauges) {
             out += (first ? "" : ",");
-            out += jsonQuote(name);
+            out += json::quote(name);
             out += ':';
-            out += jsonNumber(value);
+            out += json::number(value);
             first = false;
         }
         out += "},\"hists\":{";
         first = true;
         for (const auto &[name, hist] : sample.hists) {
             out += (first ? "" : ",");
-            out += jsonQuote(name);
+            out += json::quote(name);
             out += ":[";
             out += std::to_string(hist.count);
             out += ',';
-            out += jsonNumber(hist.mean);
+            out += json::number(hist.mean);
             out += ',';
-            out += jsonNumber(hist.min);
+            out += json::number(hist.min);
             out += ',';
-            out += jsonNumber(hist.max);
+            out += json::number(hist.max);
             out += ']';
             first = false;
         }

@@ -15,13 +15,13 @@
  *    recorder samples the full registry (counters, gauges, cheap
  *    histogram moments) under that serialization, so samples land
  *    exactly on the grid regardless of worker count;
- *  - virtual time is the clock: a `--workers 1` campaign with no
- *    telemetry sink produces a bit-identical JSONL artifact run over
- *    run (every wall-clock-derived metric is timingEnabled()-gated, and
- *    `wall_us` is only emitted when a sink enabled timing). Under
- *    concurrency the tick facts stay prefix-consistent while registry
- *    values are approximate at window boundaries — exactly the covmap
- *    window contract;
+ *  - virtual time is the clock: a `--workers 1` campaign with timing
+ *    off produces a bit-identical JSONL artifact run over run (every
+ *    wall-clock-derived metric is timingEnabled()-gated, and `wall_us`
+ *    is only emitted when timing is on, e.g. under `--metrics-out`).
+ *    Under concurrency the tick facts stay prefix-consistent while
+ *    registry values are approximate at window boundaries — exactly
+ *    the covmap window contract;
  *  - a bounded in-memory ring keeps the recent window for the
  *    `/timeline` endpoint and flight-recorder embeds; the JSONL
  *    artifact (`fuzz --timeline-out`) is delta-encoded and

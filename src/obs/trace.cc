@@ -9,14 +9,14 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "obs/telemetry.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace sp::obs {
 
-namespace {
+std::atomic<bool> detail::g_trace_enabled{false};
 
-std::atomic<bool> g_trace_enabled{false};
+namespace {
 
 /** Introspection claims: tracer + each status server hold one while
  *  alive; the board is live while any claim is held. */
@@ -266,7 +266,7 @@ traceEventJson(const std::vector<Span> &spans)
                    "\"tid\":";
             out += std::to_string(ring->id());
             out += ",\"args\":{\"name\":";
-            out += jsonQuote(ring->snapshot().label);
+            out += json::quote(ring->snapshot().label);
             out += "}}";
         }
     }
@@ -388,12 +388,6 @@ spanKindName(SpanKind kind)
     return "?";
 }
 
-bool
-traceEnabled()
-{
-    return g_trace_enabled.load(std::memory_order_relaxed);
-}
-
 void
 installTracer(const TraceOptions &opts)
 {
@@ -419,7 +413,7 @@ installTracer(const TraceOptions &opts)
     armCrashHooks();
     g_auto_dumped.store(false, std::memory_order_release);
     g_exporting.store(true, std::memory_order_release);
-    g_trace_enabled.store(true, std::memory_order_release);
+    detail::g_trace_enabled.store(true, std::memory_order_release);
     // Released by shutdownTracer() — the watchdog reads the board, so
     // the claim must outlive it, not any status server.
     claimIntrospection();
@@ -433,7 +427,7 @@ void
 shutdownTracer()
 {
     TracerState &state = tracerState();
-    g_trace_enabled.store(false, std::memory_order_release);
+    detail::g_trace_enabled.store(false, std::memory_order_release);
     g_exporting.store(false, std::memory_order_release);
     state.watchdog_stop.store(true, std::memory_order_release);
     if (state.watchdog.joinable())
@@ -511,22 +505,15 @@ TraceScope::~TraceScope()
     t_trace_id = saved_;
 }
 
-TraceSpan::TraceSpan(SpanKind kind, uint64_t arg)
-    : TraceSpan(kind, traceEnabled() ? t_trace_id : 0, arg)
+void
+TraceSpan::start()
 {
+    start_us_ = monotonicMicros();
 }
 
-TraceSpan::TraceSpan(SpanKind kind, uint64_t trace_id, uint64_t arg)
-    : trace_id_(traceEnabled() ? trace_id : 0), arg_(arg), kind_(kind)
+void
+TraceSpan::finish()
 {
-    if (trace_id_ != 0)
-        start_us_ = monotonicMicros();
-}
-
-TraceSpan::~TraceSpan()
-{
-    if (trace_id_ == 0)
-        return;
     const uint64_t end = monotonicMicros();
     record(kind_, trace_id_, start_us_, end - start_us_, arg_);
 }
@@ -687,7 +674,7 @@ statusJson()
         out += "{\"id\":";
         out += std::to_string(w);
         out += ",\"stage\":";
-        out += jsonQuote(workerStageName(worker.stage));
+        out += json::quote(workerStageName(worker.stage));
         out += ",\"slot\":";
         out += std::to_string(worker.slot);
         out += ",\"stage_age_us\":";
@@ -783,7 +770,7 @@ flightRecordNow(std::string_view reason)
     std::string out;
     out.reserve(1 << 16);
     out += "{\"reason\":";
-    out += jsonQuote(reason);
+    out += json::quote(reason);
     out += ",\"t_us\":";
     out += std::to_string(now);
     out += ",\"status\":";
@@ -800,7 +787,7 @@ flightRecordNow(std::string_view reason)
         out += "{\"ring\":";
         out += std::to_string(ring.ring);
         out += ",\"label\":";
-        out += jsonQuote(ring.label);
+        out += json::quote(ring.label);
         out += ",\"spans\":[";
         for (size_t i = 0; i < ring.spans.size(); ++i) {
             if (i != 0)

@@ -86,8 +86,18 @@ struct TraceOptions
     uint64_t stall_timeout_us = 0;
 };
 
-/** Cached gate for span recording (one relaxed load when off). */
-bool traceEnabled();
+namespace detail {
+/** traceEnabled()'s flag; written only by install/shutdownTracer. */
+extern std::atomic<bool> g_trace_enabled;
+}  // namespace detail
+
+/** Cached gate for span recording (one relaxed load when off). Inline
+ *  so a disabled span costs no call. */
+inline bool
+traceEnabled()
+{
+    return detail::g_trace_enabled.load(std::memory_order_relaxed);
+}
 
 /**
  * Install the process-wide tracer: enables span recording, arms the
@@ -136,10 +146,22 @@ class TraceSpan
 {
   public:
     /** Span under the thread's current trace id. */
-    explicit TraceSpan(SpanKind kind, uint64_t arg = 0);
+    explicit TraceSpan(SpanKind kind, uint64_t arg = 0)
+        : TraceSpan(kind, traceEnabled() ? currentTraceId() : 0, arg)
+    {
+    }
     /** Span under an explicit trace id (cross-thread hand-offs). */
-    TraceSpan(SpanKind kind, uint64_t trace_id, uint64_t arg);
-    ~TraceSpan();
+    TraceSpan(SpanKind kind, uint64_t trace_id, uint64_t arg)
+        : trace_id_(traceEnabled() ? trace_id : 0), arg_(arg), kind_(kind)
+    {
+        if (trace_id_ != 0)
+            start();
+    }
+    ~TraceSpan()
+    {
+        if (trace_id_ != 0)
+            finish();
+    }
 
     TraceSpan(const TraceSpan &) = delete;
     TraceSpan &operator=(const TraceSpan &) = delete;
@@ -148,6 +170,10 @@ class TraceSpan
     void setArg(uint64_t arg) { arg_ = arg; }
 
   private:
+    /** Out of line: only an active span reads the clock. */
+    void start();
+    void finish();
+
     uint64_t trace_id_ = 0;  ///< 0 = inactive
     uint64_t start_us_ = 0;
     uint64_t arg_ = 0;

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -488,6 +489,54 @@ ParseResult
 parse(std::string_view text)
 {
     return Parser(text).run();
+}
+
+std::string
+quote(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    out += '"';
+    for (char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+    return out;
+}
+
+std::string
+number(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.9g", v);
+    return buf;
 }
 
 }  // namespace sp::json

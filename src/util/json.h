@@ -1,16 +1,19 @@
 /**
  * @file
- * Minimal recursive-descent JSON reader for the repo's own machine
- * artifacts (timeline logs, analyze reports, checkpoint JSONL).
+ * Minimal JSON support for the repo's own machine artifacts (timeline
+ * logs, analyze reports, checkpoint JSONL, the registry snapshot).
  *
- * Scope is deliberately small: parse a complete value from a string
- * into a Value tree (null / bool / number / string / array / object).
- * Numbers are held as double plus the exact signed/unsigned integer
- * when the literal was integral — hit counts are uint64 and must not
- * round through a double. No streaming, no comments, no trailing
- * commas; object member order is preserved (vector of pairs) so tests
- * can assert on emission order. Writers elsewhere in the repo build
- * their JSON by hand; this is only the read side.
+ * Read side: a recursive-descent parser. Scope is deliberately small:
+ * parse a complete value from a string into a Value tree (null / bool /
+ * number / string / array / object). Numbers are held as double plus
+ * the exact signed/unsigned integer when the literal was integral —
+ * hit counts are uint64 and must not round through a double. No
+ * streaming, no comments, no trailing commas; object member order is
+ * preserved (vector of pairs) so tests can assert on emission order.
+ *
+ * Write side: writers build their JSON by hand from two shared
+ * scalar helpers, quote() and number(), so every artifact escapes
+ * strings and formats doubles the same way.
  */
 #ifndef SP_UTIL_JSON_H
 #define SP_UTIL_JSON_H
@@ -110,6 +113,14 @@ struct ParseResult
  * UTF-8 (surrogate pairs included).
  */
 ParseResult parse(std::string_view text);
+
+/** JSON string literal: quoted, with `"`, backslash and control bytes
+ *  escaped; other bytes (UTF-8 included) pass through. */
+std::string quote(std::string_view s);
+
+/** JSON number literal (`%.9g`); non-finite values, which JSON cannot
+ *  express (empty-stat min/max, say), are written as 0. */
+std::string number(double v);
 
 }  // namespace sp::json
 

@@ -33,7 +33,7 @@ LogLevel logLevel();
 
 /**
  * Microseconds since process start on the steady clock. Prefixes every
- * log record and stamps telemetry events, so the two streams share one
+ * log record and stamps timed spans, so logs and metrics share one
  * time base.
  */
 uint64_t monotonicMicros();

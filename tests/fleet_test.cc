@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "obs/statusd.h"
 #include "prog/gen.h"
 #include "prog/serialize.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 #include "gtest/gtest.h"
@@ -139,6 +142,26 @@ TEST(FleetWire, DecodeRejectsTruncatedPayloads)
     padded.push_back(0);
     LeaseResultMsg msg;
     EXPECT_FALSE(msg.decode(padded));
+}
+
+TEST(FleetWire, DecodeRejectsOutOfRangePmmShare)
+{
+    // pmm_share is a fraction: a peer's NaN/inf/out-of-range double
+    // must be a decode error, not a poisoned fleet-wide average.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : {std::nan(""), inf, -inf, -0.25, 1.5}) {
+        LeaseResultMsg msg = sampleResult(1);
+        msg.pmm_share = bad;
+        LeaseResultMsg decoded;
+        EXPECT_FALSE(decoded.decode(msg.encode())) << bad;
+    }
+    for (const double good : {0.0, 1.0}) {
+        LeaseResultMsg msg = sampleResult(1);
+        msg.pmm_share = good;
+        LeaseResultMsg decoded;
+        ASSERT_TRUE(decoded.decode(msg.encode())) << good;
+        EXPECT_EQ(decoded.pmm_share, good);
+    }
 }
 
 TEST(FleetWire, FrameRoundTripOverSocketpair)
@@ -594,12 +617,65 @@ TEST(FleetFabric, StatusPayloadsAreWellFormed)
     EXPECT_TRUE(stats.error.empty()) << stats.error;
 
     const std::string status = coordinator.campaignJson();
+    EXPECT_TRUE(json::parse(status).ok()) << status;
     EXPECT_NE(status.find("\"type\":\"fleet\""), std::string::npos);
     EXPECT_NE(status.find("\"watermark\":200"), std::string::npos);
     EXPECT_NE(status.find("\"drained\":true"), std::string::npos);
     const std::string coverage = coordinator.coverageJson();
     EXPECT_NE(coverage.find("\"enabled\":true"), std::string::npos);
     EXPECT_NE(coverage.find("\"frontier\""), std::string::npos);
+    coordinator.stop();
+}
+
+TEST(FleetFabric, StatusQuotesThePeerPolicyName)
+{
+    const kern::Kernel kernel = testKernel();
+    CoordinatorOptions opts;
+    opts.budget = 200;
+    opts.checkpoint_every = 100;
+    opts.serve_status = false;
+    opts.stop_grace_ms = 0;
+    Coordinator coordinator(kernel, opts);
+
+    // A raw peer completes one lease with a policy name that is not
+    // JSON-safe; /status must still parse and carry it verbatim.
+    const std::string name = "we\"ird\\na\x01me";
+    const int fd = obs::connectTcp("127.0.0.1", coordinator.port());
+    ASSERT_GE(fd, 0);
+    HelloMsg hello;
+    hello.node_name = "raw";
+    ASSERT_TRUE(sendFrame(fd, MsgType::Hello, hello.encode()));
+    Frame reply;
+    ASSERT_EQ(recvFrame(fd, &reply), RecvStatus::Ok);
+    ASSERT_EQ(reply.type, MsgType::HelloAck);
+    ASSERT_TRUE(sendFrame(fd, MsgType::LeaseRequest, {}));
+    ASSERT_EQ(recvFrame(fd, &reply), RecvStatus::Ok);
+    ASSERT_EQ(reply.type, MsgType::LeaseGrant);
+    LeaseGrantMsg grant;
+    ASSERT_TRUE(grant.decode(reply.payload));
+    LeaseResultMsg result;
+    result.lease_id = grant.lease_id;
+    result.execs = grant.count;
+    result.have_policy = true;
+    result.policy_name = name;
+    result.pmm_share = 0.5;
+    ASSERT_TRUE(sendFrame(fd, MsgType::LeaseResult, result.encode()));
+    ASSERT_EQ(recvFrame(fd, &reply), RecvStatus::Ok);
+    ASSERT_EQ(reply.type, MsgType::ResultAck);
+    ResultAckMsg ack;
+    ASSERT_TRUE(ack.decode(reply.payload));
+    EXPECT_EQ(ack.accepted, 1u);
+    ASSERT_TRUE(sendFrame(fd, MsgType::Bye, {}));
+    ::close(fd);
+
+    const std::string status = coordinator.campaignJson();
+    const json::ParseResult parsed = json::parse(status);
+    ASSERT_TRUE(parsed.ok()) << parsed.error << " in " << status;
+    const json::Value *policy = parsed.value.find("policy");
+    ASSERT_NE(policy, nullptr);
+    ASSERT_NE(policy->find("name"), nullptr);
+    EXPECT_EQ(policy->find("name")->str(), name);
+    EXPECT_DOUBLE_EQ(policy->find("pmm_share")->number(), 0.5);
     coordinator.stop();
 }
 

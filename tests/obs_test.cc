@@ -1,20 +1,15 @@
 // Unit tests for src/obs: counter/gauge/histogram semantics, concurrent
-// increments, snapshotJson round-trip, the SP_TIMED span macro, and the
-// JSONL telemetry sink's event format.
+// increments, snapshotJson round-trip and the SP_TIMED span macro.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "obs/statusd.h"
-#include "obs/telemetry.h"
 #include "obs/timer.h"
 
 namespace sp::obs {
@@ -188,117 +183,6 @@ TEST(ScopedTimer, SpTimedMacroFeedsGlobalRegistry)
     }
     setTimingEnabled(false);
     EXPECT_EQ(hist.count(), 1u);
-}
-
-TEST(Field, EscapesStringsAndFormatsScalars)
-{
-    std::string out;
-    Field("k\"ey", "va\\l\nue").appendTo(out);
-    EXPECT_EQ(out, "\"k\\\"ey\":\"va\\\\l\\nue\"");
-
-    out.clear();
-    Field("n", uint64_t{18446744073709551615ull}).appendTo(out);
-    EXPECT_EQ(out, "\"n\":18446744073709551615");
-
-    out.clear();
-    Field("b", true).appendTo(out);
-    EXPECT_EQ(out, "\"b\":true");
-
-    out.clear();
-    Field("i", -3).appendTo(out);
-    EXPECT_EQ(out, "\"i\":-3");
-}
-
-TEST(TelemetrySink, WritesOneJsonObjectPerLine)
-{
-    const std::string path = "/tmp/sp_obs_test_events.jsonl";
-    {
-        TelemetrySink sink({.path = path, .flush_every = 1});
-        sink.event("alpha", {{"x", 1}, {"name", "first"}});
-        sink.event("beta", {{"ok", true}, {"rate", 0.5}});
-        EXPECT_EQ(sink.eventsWritten(), 2u);
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);)
-        lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[0].find("{\"ev\":\"alpha\",\"t_us\":"), 0u);
-    EXPECT_NE(lines[0].find("\"x\":1"), std::string::npos);
-    EXPECT_NE(lines[0].find("\"name\":\"first\""), std::string::npos);
-    EXPECT_EQ(lines[0].back(), '}');
-    EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos);
-    EXPECT_NE(lines[1].find("\"rate\":0.5"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(TelemetrySink, InstallShutdownAppendsRegistrySnapshot)
-{
-    const std::string path = "/tmp/sp_obs_test_snapshot.jsonl";
-    installSink({.path = path});
-    ASSERT_NE(sink(), nullptr);
-    EXPECT_TRUE(timingEnabled());
-    sink()->event("ping", {{"n", 1}});
-    shutdownSink();
-    setTimingEnabled(false);
-    EXPECT_EQ(sink(), nullptr);
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);)
-        lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_NE(lines[0].find("\"ev\":\"ping\""), std::string::npos);
-    EXPECT_EQ(lines[1].find("{\"ev\":\"registry_snapshot\""), 0u);
-    EXPECT_NE(lines[1].find("\"registry\":{\"counters\":{"),
-              std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(TelemetrySink, ShutdownIsIdempotent)
-{
-    const std::string path = "/tmp/sp_obs_test_idempotent.jsonl";
-    installSink({.path = path});
-    ASSERT_NE(sink(), nullptr);
-    shutdownSink();
-    EXPECT_EQ(sink(), nullptr);
-    shutdownSink();  // second shutdown: no crash, no double snapshot
-    EXPECT_EQ(sink(), nullptr);
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    size_t snapshots = 0;
-    for (std::string line; std::getline(in, line);)
-        snapshots += line.find("registry_snapshot") != std::string::npos;
-    EXPECT_EQ(snapshots, 1u);
-    std::remove(path.c_str());
-}
-
-TEST(TelemetrySink, EmitAfterShutdownIsSafeAndDropped)
-{
-    const std::string path = "/tmp/sp_obs_test_late_emit.jsonl";
-    installSink({.path = path});
-    TelemetrySink *stale = sink();  // emitter that cached the pointer
-    ASSERT_NE(stale, nullptr);
-    stale->event("before", {{"n", 1}});
-    shutdownSink();
-    // The retired sink object stays alive: a racing emitter that read
-    // the pointer before shutdown must hit a closed sink, not freed
-    // memory. The event is dropped whole.
-    stale->event("after", {{"n", 2}});
-    stale->flush();
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);)
-        lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_NE(lines[0].find("\"ev\":\"before\""), std::string::npos);
-    EXPECT_EQ(lines[1].find("{\"ev\":\"registry_snapshot\""), 0u);
-    std::remove(path.c_str());
 }
 
 TEST(Registry, VisitWalksAllMetricFamiliesSorted)

@@ -241,7 +241,7 @@ runArtifact(const std::string &path, uint64_t seed, size_t workers)
 
 TEST(TimelineCampaign, SingleWorkerArtifactIsBitReproducible)
 {
-    // Same seed, no telemetry sink: the whole JSONL artifact must be
+    // Same seed, timing off: the whole JSONL artifact must be
     // byte-identical run over run (virtual time is the only clock).
     const std::string a =
         runArtifact("/tmp/sp_timeline_test_a.jsonl", 11, 1);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "util/hash.h"
 #include "util/json.h"
@@ -434,6 +436,44 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(err.ok());
     EXPECT_FALSE(err.error.empty());
     EXPECT_GT(err.offset, 0u);
+}
+
+TEST(Json, QuoteRoundTripsThroughParse)
+{
+    std::string controls;
+    for (int c = 0x01; c < 0x20; ++c)
+        controls += static_cast<char>(c);
+    const std::string cases[] = {
+        "",
+        "plain",
+        "quote\"inside",
+        "back\\slash",
+        "\n\r\t",
+        controls,
+        "caf\xc3\xa9 \xf0\x9f\x98\x80",  // UTF-8 passes through
+    };
+    for (const std::string &s : cases) {
+        const std::string quoted = json::quote(s);
+        auto parsed = json::parse(quoted);
+        ASSERT_TRUE(parsed.ok()) << quoted << ": " << parsed.error;
+        EXPECT_EQ(parsed.value.str(), s) << quoted;
+    }
+    EXPECT_EQ(json::quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    EXPECT_EQ(json::quote(std::string(1, '\x01')), "\"\\u0001\"");
+}
+
+TEST(Json, NumberWritesFiniteValuesAndZeroesTheRest)
+{
+    EXPECT_EQ(json::number(std::nan("")), "0");
+    EXPECT_EQ(json::number(std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(json::number(-std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(json::number(42.0), "42");
+    EXPECT_EQ(json::number(-3.0), "-3");
+    EXPECT_EQ(json::number(0.5), "0.5");
+    EXPECT_EQ(json::number(1.0 / 3.0), "0.333333333");
+    auto parsed = json::parse(json::number(123456789.0));
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    EXPECT_EQ(parsed.value.asUint(), 123456789u);
 }
 
 }  // namespace
