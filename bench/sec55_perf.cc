@@ -5,9 +5,10 @@
 //    an L4 GPU box for graphs ~10x larger);
 //  - inference service saturation throughput, sweeping worker counts
 //    (paper: ~57 QPS at saturation on 8 GPUs);
-//  - end-to-end fuzzing throughput of Snowplow vs Syzkaller (paper:
-//    383 vs 390 tests/second — near parity, because inference is
-//    asynchronous and off the critical path).
+//  - raw and per-backend executor throughput, and the tracing cost.
+//
+// End-to-end fuzzing throughput of Snowplow vs Syzkaller (paper: 383 vs
+// 390 tests/second) is measured by campaign_bench, not here.
 
 #include <benchmark/benchmark.h>
 
@@ -135,43 +136,6 @@ BENCHMARK(BM_InferenceServiceThroughput)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void
-BM_FuzzThroughputSyzkaller(benchmark::State &state)
-{
-    const auto &kernel = fixtures().kernel;
-    for (auto _ : state) {
-        auto opts = spbench::evalFuzzOptions(4000, 9);
-        auto campaign =
-            core::makeSyzkallerCampaign(kernel, {.fuzz = opts});
-        auto report = campaign->run();
-        benchmark::DoNotOptimize(report.final_edges);
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * 4000);
-}
-BENCHMARK(BM_FuzzThroughputSyzkaller)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
-
-void
-BM_FuzzThroughputSnowplow(benchmark::State &state)
-{
-    const auto &kernel = fixtures().kernel;
-    const auto &model = spbench::sharedPmm();
-    for (auto _ : state) {
-        auto opts = spbench::evalFuzzOptions(4000, 9);
-        auto campaign = core::makeSnowplowCampaign(
-            kernel, model, {.fuzz = opts}, spbench::evalSnowplowOptions());
-        auto report = campaign->run();
-        benchmark::DoNotOptimize(report.final_edges);
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * 4000);
-}
-BENCHMARK(BM_FuzzThroughputSnowplow)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
 
 void
 BM_ExecutorRawThroughput(benchmark::State &state)

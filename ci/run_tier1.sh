@@ -128,19 +128,21 @@ ctest --test-dir build-tsan --output-on-failure -j"$(nproc)" \
 # Stage 4: NN hot-path perf smoke — run the GEMM / inference-latency /
 # service-throughput benchmarks briefly (min_time is a bare double;
 # this google-benchmark predates unit suffixes) and keep the JSON
-# report as a build artifact for eyeballing regressions. The tracer
+# report under build/ for eyeballing regressions. The fresh reports of
+# stages 4 and 9 stay out of the checkout: the committed BENCH_*.json
+# files are refreshed deliberately, not by a 0.01 s CI run. The tracer
 # benchmarks also gate the disabled path: with no tracer installed an
 # instrumentation site must cost so little that a full slot's worth of
 # span sites stays under 1% of the slot itself.
 ./build/bench/sec55_perf \
     --benchmark_filter='BM_RawMatmul|BM_PmmInferenceLatency|BM_InferenceServiceThroughput/workers:1|BM_TraceSpanDisabled|BM_TraceOverhead|BM_ExecThroughput' \
     --benchmark_min_time=0.01 \
-    --benchmark_out=BENCH_sec55.json --benchmark_out_format=json \
+    --benchmark_out=build/BENCH_sec55.json --benchmark_out_format=json \
     > /dev/null
 python3 - <<'PY'
 import json
 
-with open("BENCH_sec55.json") as f:
+with open("build/BENCH_sec55.json") as f:
     report = json.load(f)
 names = [b["name"] for b in report["benchmarks"]]
 for needle in ("BM_RawMatmul", "BM_PmmInferenceLatency",
@@ -188,15 +190,15 @@ PY
 # The ratio is derived from the stable micro numbers (per-program
 # recording cost / per-execution campaign slot cost) rather than by
 # differencing two noisy end-to-end runs; the end-to-end enabled:0/1
-# pair still lands in BENCH_covmap.json for eyeballing.
+# pair still lands in build/BENCH_covmap.json for eyeballing.
 ./build/bench/covmap \
     --benchmark_min_time=0.02 \
-    --benchmark_out=BENCH_covmap.json --benchmark_out_format=json \
+    --benchmark_out=build/BENCH_covmap.json --benchmark_out_format=json \
     > /dev/null
 python3 - <<'PY'
 import json
 
-with open("BENCH_covmap.json") as f:
+with open("build/BENCH_covmap.json") as f:
     report = json.load(f)
 names = [b["name"] for b in report["benchmarks"]]
 for needle in ("BM_CovmapOverhead/enabled:0", "BM_CovmapOverhead/enabled:1",
@@ -642,12 +644,12 @@ PY
 # covmap gate in stage 4.
 ./build/bench/timeline \
     --benchmark_min_time=0.02 \
-    --benchmark_out=BENCH_timeline_perf.json --benchmark_out_format=json \
+    --benchmark_out=build/BENCH_timeline_perf.json --benchmark_out_format=json \
     > /dev/null
 python3 - <<'PY'
 import json
 
-with open("BENCH_timeline_perf.json") as f:
+with open("build/BENCH_timeline_perf.json") as f:
     report = json.load(f)
 names = [b["name"] for b in report["benchmarks"]]
 for needle in ("BM_TimelineOverhead/enabled:0",

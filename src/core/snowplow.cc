@@ -21,10 +21,9 @@ struct LocalizerMetrics
     obs::Counter &async_submitted;
     obs::Counter &async_ready;
     obs::Counter &async_pending;
-    /** Cached like the counters: CampaignEngine scopes this gauge per
-     *  campaign with resetGaugesWithPrefix (value to 0, name stays
-     *  registered), so the handle never dangles and lookups stay off
-     *  the registry mutex. */
+    /** Cached like the counters: the CampaignEngine's registry reset
+     *  zeroes it per campaign and keeps the name registered, so the
+     *  handle never dangles and lookups stay off the registry mutex. */
     obs::Gauge &cache_hit_ratio;
 
     static LocalizerMetrics &

@@ -52,15 +52,6 @@ ExecutorPool::ExecutorPool(const kern::Kernel &kernel,
 }
 
 uint64_t
-ExecutorPool::totalCallsExecuted() const
-{
-    uint64_t total = 0;
-    for (const auto &executor : executors_)
-        total += executor->callsExecuted();
-    return total;
-}
-
-uint64_t
 ExecutorPool::totalProgramsExecuted() const
 {
     uint64_t total = 0;

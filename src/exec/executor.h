@@ -95,7 +95,6 @@ class ExecutorPool
 
     /** @name Pool-wide throughput tallies (quiescent reads) */
     /** @{ */
-    uint64_t totalCallsExecuted() const;
     uint64_t totalProgramsExecuted() const;
     /** @} */
 

@@ -88,7 +88,6 @@ Coordinator::Coordinator(const kern::Kernel &kernel,
             SP_FATAL("fleet: cannot open --timeline-out %s",
                      opts_.timeline_out.c_str());
         timeline_open_ = true;
-        recorder_.rebaseline();
     }
 
     if (opts_.serve_status) {
@@ -182,20 +181,6 @@ Coordinator::stats() const
     out.blocks = aggregate_.blockCount();
     out.unique_crashes = aggregate_.uniqueCrashes();
     return out;
-}
-
-std::vector<uint64_t>
-Coordinator::covBlockHits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return aggregate_.blockHits();
-}
-
-std::vector<uint64_t>
-Coordinator::covEdgeHits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return aggregate_.edgeHits();
 }
 
 uint64_t

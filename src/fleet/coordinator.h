@@ -140,9 +140,6 @@ class Coordinator
     std::string campaignJson() const;
     /** The /coverage payload (merged fleet covmap summary). */
     std::string coverageJson() const;
-    /** Merged covmap hit maps (lease-grid merge invariant tests). */
-    std::vector<uint64_t> covBlockHits() const;
-    std::vector<uint64_t> covEdgeHits() const;
     /** Merged posterior counts for one arm. */
     uint64_t posteriorPulls(uint32_t arm) const;
     uint64_t posteriorWins(uint32_t arm) const;

@@ -616,6 +616,15 @@ CampaignEngine::CampaignEngine(const kern::Kernel &kernel,
 {
     SP_ASSERT(make_localizer != nullptr,
               "campaign engine needs a localizer factory");
+    // The registry describes the current campaign. Zero it here, not in
+    // run(): callers may read a counter between construction and run()
+    // and subtract it afterwards. reset() keeps every cached handle
+    // valid. The worker-tagged busy gauges are dropped instead, so an
+    // 8-worker campaign followed by a 2-worker one reports no .w7; no
+    // call site caches a handle to them.
+    auto &reg = obs::Registry::global();
+    reg.reset();
+    reg.unregisterGaugesWithPrefix("fuzz.worker_busy_ratio.w");
     rngs_.reserve(opts_.workers);
     localizers_.reserve(opts_.workers);
     for (size_t w = 0; w < opts_.workers; ++w) {
@@ -637,52 +646,6 @@ CampaignEngine::run(const std::function<bool()> &stop)
     SP_ASSERT(!ran_, "CampaignEngine::run is one-shot");
     ran_ = true;
     const auto wall_start = std::chrono::steady_clock::now();
-
-    // Campaign-scoped gauges from a previous run must not linger: an
-    // 8-worker campaign followed by a 2-worker one would otherwise
-    // still report fuzz.worker_busy_ratio.w7, and a random-localizer
-    // campaign would re-serve the previous run's cache hit ratio.
-    // Worker gauges are unregistered (looked up fresh at every set,
-    // no cached handles); the cache ratio is only reset to 0 because
-    // the localizer hot path holds a cached handle to it.
-    auto &reg = obs::Registry::global();
-    reg.unregisterGaugesWithPrefix("fuzz.worker_busy_ratio.w");
-    reg.resetGaugesWithPrefix("snowplow.cache_hit_ratio");
-    // Counters scoped the same way: covmap windows/stray tallies and
-    // the prediction-cache hit/miss counts describe one campaign, not
-    // the process, and their hot paths cache handles (reset keeps
-    // those valid where unregister would not).
-    reg.resetCountersWithPrefix("covmap.");
-    reg.resetGaugesWithPrefix("covmap.");
-    reg.resetCountersWithPrefix("snowplow.cache.");
-    // Policy arm statistics describe one campaign, not the process,
-    // and their export path caches gauge handles.
-    reg.resetGaugesWithPrefix("policy.");
-    reg.resetCountersWithPrefix("policy.");
-    // Timeline bookkeeping is per campaign too.
-    reg.resetCountersWithPrefix("timeline.");
-    reg.resetGaugesWithPrefix("timeline.");
-    // End-of-run wall-clock gauges from a previous campaign must not
-    // appear in this campaign's timeline samples: they carry machine
-    // time, which would make an otherwise-deterministic artifact
-    // differ across back-to-back runs.
-    reg.resetGaugesWithPrefix("fuzz.execs_per_sec");
-    reg.resetGaugesWithPrefix("fuzz.mutant_success.");
-    // Latency/size distributions are campaign-scoped the same way as
-    // the counters above — their hot paths cache handles, so reset in
-    // place. Without this, a second campaign's timeline inherits the
-    // first one's exec.restore_us / exec.dirty_entries / nn.gemm_us
-    // moments.
-    reg.resetDistributionsWithPrefix("exec.");
-    reg.resetDistributionsWithPrefix("fuzz.");
-    reg.resetDistributionsWithPrefix("covmap.");
-    reg.resetDistributionsWithPrefix("nn.");
-    reg.resetDistributionsWithPrefix("timeline.");
-    // The recorder took its baselines at construction, before the
-    // resets above; recapture them so campaign-reset counters read as
-    // raw campaign counts instead of value-minus-stale-baseline.
-    if (opts_.fuzz.timeline != nullptr)
-        opts_.fuzz.timeline->rebaseline();
 
     CampaignShared shared;
     shared.opts = &opts_.fuzz;
@@ -787,7 +750,8 @@ CampaignEngine::run(const std::function<bool()> &stop)
                 ? static_cast<double>(env.wall_us - env.wait_us) /
                       static_cast<double>(env.wall_us)
                 : 0.0;
-        reg.gauge(obs::workerMetric("fuzz.worker_busy_ratio", w))
+        obs::Registry::global()
+            .gauge(obs::workerMetric("fuzz.worker_busy_ratio", w))
             .set(busy);
     }
 

@@ -124,6 +124,8 @@ class CampaignEngine
     using LocalizerFactory =
         std::function<std::unique_ptr<mut::Localizer>(size_t worker)>;
 
+    /** Zeroes obs::Registry::global() (handles stay valid) before
+     *  building the localizers: the registry describes this campaign. */
     CampaignEngine(const kern::Kernel &kernel, CampaignOptions options,
                    LocalizerFactory make_localizer);
 

@@ -47,7 +47,6 @@ Corpus::maybeAdd(const prog::Prog &program, const exec::ExecResult &result,
         block_count_.store(total_.blockCount(),
                            std::memory_order_release);
         if (new_edges > 0) {
-            epoch_.fetch_add(1, std::memory_order_release);
             hash = program.hash();
             admit = hashes_.insert(hash).second;
         }

@@ -11,8 +11,8 @@
  * shards (per-shard mutex, deque storage so references stay stable),
  * while admission itself serializes on one coverage mutex so the
  * "new edges over the aggregate" decision keeps its single-threaded
- * semantics. Aggregate edge/block counts and a coverage epoch are
- * mirrored into relaxed atomics so checkpoint readers never take the
+ * semantics. Aggregate edge/block counts are mirrored into relaxed
+ * atomics so checkpoint readers never take the
  * admission lock. A single-shard corpus (the default) draws from the
  * RNG exactly like the historical unsharded corpus did, which is what
  * keeps `--workers 1` campaigns bit-for-bit reproducible.
@@ -105,11 +105,6 @@ class Corpus
     {
         return block_count_.load(std::memory_order_acquire);
     }
-    /** Bumped once per admission merge that grew the aggregate. */
-    uint64_t coverageEpoch() const
-    {
-        return epoch_.load(std::memory_order_acquire);
-    }
     /** @} */
 
     size_t shardCount() const { return shard_count_; }
@@ -133,7 +128,6 @@ class Corpus
     std::atomic<size_t> edge_count_{0};
     std::atomic<size_t> block_count_{0};
     std::atomic<size_t> size_{0};
-    std::atomic<uint64_t> epoch_{0};
 };
 
 }  // namespace sp::fuzz

@@ -7,6 +7,28 @@
 
 namespace sp::fuzz {
 
+namespace {
+
+/** Registry handles for the crash counters (looked up once). */
+struct CrashMetrics
+{
+    obs::Counter &unique;
+    obs::Counter &duplicate;
+
+    static CrashMetrics &
+    get()
+    {
+        auto &reg = obs::Registry::global();
+        static CrashMetrics metrics{
+            reg.counter("crash.unique"),
+            reg.counter("crash.duplicate"),
+        };
+        return metrics;
+    }
+};
+
+}  // namespace
+
 CrashLog::CrashLog(const kern::Kernel &kernel)
     : kernel_(kernel)
 {
@@ -20,12 +42,12 @@ CrashLog::record(uint32_t bug_index, const prog::Prog &trigger,
     auto it = by_bug_.find(bug_index);
     if (it != by_bug_.end()) {
         ++records_[it->second].hit_count;
-        obs::Registry::global().counter("crash.duplicate").inc();
+        CrashMetrics::get().duplicate.inc();
         return;
     }
     SP_ASSERT(bug_index < kernel_.bugs().size());
     const kern::BugSite &bug = kernel_.bugs()[bug_index];
-    obs::Registry::global().counter("crash.unique").inc();
+    CrashMetrics::get().unique.inc();
 
     CrashRecord record;
     record.bug_index = bug_index;

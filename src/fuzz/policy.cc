@@ -11,6 +11,12 @@ namespace sp::fuzz {
 
 namespace {
 
+/** Seed-age buckets: the scheduling arm axis. */
+constexpr size_t kSeedBuckets = 4;
+/** Uniform Beta(1, 1) prior: alpha = wins + 1, beta = losses + 1. */
+constexpr double kPriorAlpha = 1.0;
+constexpr double kPriorBeta = 1.0;
+
 /**
  * Gamma(shape, 1) draw via Marsaglia-Tsang squeeze (shape >= 1) with
  * the Ahrens-Dieter boost for shape < 1. Draw count is variable (a
@@ -52,9 +58,9 @@ sampleBeta(Rng &rng, double alpha, double beta)
     return sum > 0.0 ? x / sum : 0.5;
 }
 
-/** Registry handles for the policy gauges (looked up once; the values
- *  are campaign-scoped via resetGaugesWithPrefix("policy."), which
- *  zeroes in place and keeps these handles valid). */
+/** Registry handles for the policy gauges (looked up once; the
+ *  CampaignEngine's registry reset scopes the values per campaign and
+ *  keeps these handles valid). */
 struct PolicyMetrics
 {
     obs::Gauge &arm_pulls;
@@ -79,7 +85,6 @@ struct PolicyMetrics
 DecisionPolicy::DecisionPolicy(PolicyOptions opts)
     : opts_(std::move(opts))
 {
-    SP_ASSERT(opts_.seed_buckets > 0, "policy needs >= 1 seed bucket");
     const size_t arms = armCount();
     merged_pulls_ = std::make_unique<std::atomic<uint64_t>[]>(arms);
     merged_wins_ = std::make_unique<std::atomic<uint64_t>[]>(arms);
@@ -87,6 +92,18 @@ DecisionPolicy::DecisionPolicy(PolicyOptions opts)
         merged_pulls_[a].store(0, std::memory_order_relaxed);
         merged_wins_[a].store(0, std::memory_order_relaxed);
     }
+}
+
+size_t
+DecisionPolicy::bucketCount() const
+{
+    return kSeedBuckets;
+}
+
+size_t
+DecisionPolicy::armCount() const
+{
+    return kSeedBuckets * kOpClasses * mut::kLocalizerChannels;
 }
 
 void
@@ -112,7 +129,7 @@ int
 DecisionPolicy::armFor(size_t bucket, mut::MutationType op,
                        mut::LocalizerChannel channel) const
 {
-    SP_ASSERT(bucket < opts_.seed_buckets, "bucket out of range");
+    SP_ASSERT(bucket < kSeedBuckets, "bucket out of range");
     const size_t op_index = opClassIndex(op);
     const size_t ch_index = static_cast<size_t>(channel);
     return static_cast<int>(
@@ -185,7 +202,7 @@ DecisionPolicy::pmmShare() const
 {
     uint64_t model = 0;
     uint64_t arg_total = 0;
-    for (size_t b = 0; b < opts_.seed_buckets; ++b) {
+    for (size_t b = 0; b < kSeedBuckets; ++b) {
         for (size_t ch = 0; ch < mut::kLocalizerChannels; ++ch) {
             const int arm =
                 armFor(b, mut::MutationType::ArgumentMutation,
@@ -207,7 +224,7 @@ size_t
 DecisionPolicy::bucketOf(const CorpusEntry &entry,
                          uint64_t now_slot) const
 {
-    const size_t buckets = opts_.seed_buckets;
+    const size_t buckets = kSeedBuckets;
     if (now_slot == 0)
         return buckets - 1;
     // Admission time relative to the virtual-time clock: bucket 0 holds
@@ -318,8 +335,8 @@ ThompsonPolicy::sampleArm(int arm, Rng &rng) const
     uint64_t pulls = 0;
     uint64_t wins = 0;
     mergedArm(arm, &pulls, &wins);
-    return sampleBeta(rng, opts_.prior_alpha + static_cast<double>(wins),
-                      opts_.prior_beta +
+    return sampleBeta(rng, kPriorAlpha + static_cast<double>(wins),
+                      kPriorBeta +
                           static_cast<double>(pulls - wins));
 }
 
@@ -340,8 +357,8 @@ ThompsonPolicy::sampleBucket(size_t bucket, Rng &rng) const
             wins += w;
         }
     }
-    return sampleBeta(rng, opts_.prior_alpha + static_cast<double>(wins),
-                      opts_.prior_beta +
+    return sampleBeta(rng, kPriorAlpha + static_cast<double>(wins),
+                      kPriorBeta +
                           static_cast<double>(pulls - wins));
 }
 
@@ -349,7 +366,7 @@ Decision
 ThompsonPolicy::decide(const DecisionContext &ctx, Rng &rng)
 {
     Decision decision;
-    const size_t buckets = opts_.seed_buckets;
+    const size_t buckets = kSeedBuckets;
 
     // Scheduling: sample every bucket's marginal, mutate inside the
     // winner. Index position (shard-major) stands in for admission age:
@@ -429,8 +446,8 @@ ThompsonPolicy::pickOperator(const DecisionContext &ctx,
             wins += w;
         }
         const double theta = sampleBeta(
-            rng, opts_.prior_alpha + static_cast<double>(wins),
-            opts_.prior_beta + static_cast<double>(pulls - wins));
+            rng, kPriorAlpha + static_cast<double>(wins),
+            kPriorBeta + static_cast<double>(pulls - wins));
         if (theta > best_theta) {
             best_theta = theta;
             best_op = static_cast<int>(op);
@@ -444,8 +461,6 @@ ThompsonPolicy::pickOperator(const DecisionContext &ctx,
 std::shared_ptr<DecisionPolicy>
 makePolicy(const FuzzOptions &opts)
 {
-    if (opts.policy.custom)
-        return opts.policy.custom;
     switch (opts.policy.kind) {
       case PolicyKind::Thompson:
         return std::make_shared<ThompsonPolicy>(opts.policy);

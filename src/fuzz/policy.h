@@ -69,13 +69,6 @@ struct PolicyOptions
      * arbitrates from the posterior instead.
      */
     double pmm_fallback_prob = 0.05;
-    /** Seed-age buckets (the scheduling arm axis). */
-    size_t seed_buckets = 4;
-    /** Beta prior (alpha = wins + prior_alpha, etc.). */
-    double prior_alpha = 1.0;
-    double prior_beta = 1.0;
-    /** Custom policy instance; overrides `kind` when set. */
-    std::shared_ptr<DecisionPolicy> custom;
 };
 
 /** Operator classes the policy chooses among (mut::MutationType as a
@@ -179,11 +172,9 @@ class DecisionPolicy
 
     /** @name Posterior introspection (merged values) */
     /** @{ */
-    size_t bucketCount() const { return opts_.seed_buckets; }
-    size_t armCount() const
-    {
-        return opts_.seed_buckets * kOpClasses * mut::kLocalizerChannels;
-    }
+    /** Seed-age buckets (the scheduling arm axis). */
+    size_t bucketCount() const;
+    size_t armCount() const;
     uint64_t mergedPulls(int arm) const;
     uint64_t mergedWins(int arm) const;
     /** Model-channel share of argument-lane pulls. */
@@ -192,7 +183,7 @@ class DecisionPolicy
     /** @} */
 
     /** Seed-age bucket: the entry's admission time relative to the
-     *  current virtual time, quantized to `seed_buckets`. */
+     *  current virtual time, quantized to bucketCount(). */
     size_t bucketOf(const CorpusEntry &entry, uint64_t now_slot) const;
 
   protected:
@@ -286,9 +277,8 @@ class ThompsonPolicy : public DecisionPolicy
 struct FuzzOptions;
 
 /**
- * Build the effective policy for `opts`: `opts.policy.custom` if set,
- * else a StaticPolicy over the configured scheduler or a
- * ThompsonPolicy, per `opts.policy.kind`.
+ * Build the effective policy for `opts`: a StaticPolicy over the
+ * configured scheduler or a ThompsonPolicy, per `opts.policy.kind`.
  */
 std::shared_ptr<DecisionPolicy> makePolicy(const FuzzOptions &opts);
 

@@ -233,51 +233,6 @@ Registry::unregisterGaugesWithPrefix(const std::string &prefix)
     return removed;
 }
 
-size_t
-Registry::resetGaugesWithPrefix(const std::string &prefix)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    size_t reset = 0;
-    for (auto it = gauges_.lower_bound(prefix);
-         it != gauges_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-        it->second->reset();
-        ++reset;
-    }
-    return reset;
-}
-
-size_t
-Registry::resetCountersWithPrefix(const std::string &prefix)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    size_t reset = 0;
-    for (auto it = counters_.lower_bound(prefix);
-         it != counters_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-        it->second->reset();
-        ++reset;
-    }
-    return reset;
-}
-
-size_t
-Registry::resetDistributionsWithPrefix(const std::string &prefix)
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    size_t reset = 0;
-    for (auto it = histograms_.lower_bound(prefix);
-         it != histograms_.end() &&
-         it->first.compare(0, prefix.size(), prefix) == 0;
-         ++it) {
-        it->second->reset();
-        ++reset;
-    }
-    return reset;
-}
-
 std::string
 workerMetric(const std::string &base, size_t worker)
 {

@@ -14,6 +14,14 @@
  * Metric handles returned by Registry are stable for the registry's
  * lifetime; instrumentation sites look a name up once (function-local
  * static) and keep the reference.
+ *
+ * Scope: the global registry describes the current campaign. Each
+ * fuzz::CampaignEngine zeroes it once at construction (reset(), which
+ * keeps every handle valid), so timeline samples, `/metrics` scrapes
+ * and `--metrics-out` snapshots all start from zero per campaign. The
+ * registry is observability only: FuzzReport, the CovMap and the
+ * policy posterior are the exact per-campaign record, and nothing
+ * computes a result from a registry value.
  */
 #ifndef SP_OBS_METRICS_H
 #define SP_OBS_METRICS_H
@@ -156,7 +164,9 @@ class Registry
      */
     std::string snapshotJson() const;
 
-    /** Zero every registered metric (keeps the names). */
+    /** Zero every registered metric. Names stay registered, so every
+     *  handle taken before the reset still points at the live metric
+     *  (the campaign-scope reset relies on this; see the file doc). */
     void reset();
 
     /**
@@ -183,35 +193,6 @@ class Registry
      * snapshots of later campaigns run with fewer workers.
      */
     size_t unregisterGaugesWithPrefix(const std::string &prefix);
-
-    /**
-     * Zero every gauge whose name starts with `prefix` (names stay
-     * registered, so cached handles stay valid); returns how many
-     * were reset. The campaign-scoping tool for gauges that hot paths
-     * hold handles to (`snowplow.cache_hit_ratio`), where unregister
-     * would either dangle the handle or force a registry lookup per
-     * update.
-     */
-    size_t resetGaugesWithPrefix(const std::string &prefix);
-
-    /**
-     * Zero every counter whose name starts with `prefix` (cached
-     * handles stay valid), returning how many were reset. Campaign
-     * scoping for counters hot paths hold handles to (`covmap.*`,
-     * `snowplow.cache.*`), which would otherwise accumulate across
-     * back-to-back campaigns in one process.
-     */
-    size_t resetCountersWithPrefix(const std::string &prefix);
-
-    /**
-     * Drop the contents of every histogram whose name starts with
-     * `prefix` (cached handles stay valid), returning how many were
-     * reset. The histogram analog of resetCountersWithPrefix: without
-     * it, back-to-back campaigns in one process bleed latency
-     * distributions (`exec.restore_us`, `nn.gemm_us`) into each
-     * other's timelines.
-     */
-    size_t resetDistributionsWithPrefix(const std::string &prefix);
 
   private:
     mutable std::mutex mu_;

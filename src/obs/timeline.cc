@@ -30,17 +30,6 @@ struct TimelineMetrics
     }
 };
 
-/** `value - base`, clamped at 0: a prefix reset between the baseline
- *  capture and the sample must read as "this campaign's count". */
-uint64_t
-relValue(uint64_t value, const std::map<std::string, uint64_t> &base,
-         const std::string &name)
-{
-    const auto it = base.find(name);
-    const uint64_t b = it == base.end() ? 0 : it->second;
-    return value >= b ? value - b : value;
-}
-
 /** `"execs":..,"edges":..` — the tick's core campaign facts. */
 void
 appendTickCore(std::string &out, const TimelineTick &tick)
@@ -83,34 +72,6 @@ TimelineRecorder::TimelineRecorder(TimelineOptions opts)
       registry_(opts.registry != nullptr ? *opts.registry
                                          : Registry::global())
 {
-    // Whatever previous campaigns in this process accumulated is the
-    // zero point: artifacts describe one campaign, not the process.
-    captureBaselinesLocked();
-}
-
-void
-TimelineRecorder::captureBaselinesLocked()
-{
-    baseline_counters_.clear();
-    baseline_hist_counts_.clear();
-    registry_.visit(
-        [this](const std::string &name, const Counter &counter) {
-            if (counter.value() != 0)
-                baseline_counters_[name] = counter.value();
-        },
-        nullptr,
-        [this](const std::string &name, const Histogram &hist) {
-            const uint64_t count = hist.count();
-            if (count != 0)
-                baseline_hist_counts_[name] = count;
-        });
-}
-
-void
-TimelineRecorder::rebaseline()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    captureBaselinesLocked();
 }
 
 TimelineRecorder::~TimelineRecorder()
@@ -150,27 +111,22 @@ void
 TimelineRecorder::sampleRegistry(TimelineSample &sample) const
 {
     registry_.visit(
-        [this, &sample](const std::string &name,
-                        const Counter &counter) {
-            const uint64_t rel =
-                relValue(counter.value(), baseline_counters_, name);
-            if (rel != 0)
-                sample.counters[name] = rel;
+        [&sample](const std::string &name, const Counter &counter) {
+            const uint64_t v = counter.value();
+            if (v != 0)
+                sample.counters[name] = v;
         },
         [&sample](const std::string &name, const Gauge &gauge) {
             const double v = gauge.value();
             if (v != 0.0)
                 sample.gauges[name] = v;
         },
-        [this, &sample](const std::string &name,
-                        const Histogram &hist) {
+        [&sample](const std::string &name, const Histogram &hist) {
             const RunningStat stat = hist.stat();
-            const uint64_t rel =
-                relValue(stat.count(), baseline_hist_counts_, name);
-            if (rel == 0)
+            if (stat.count() == 0)
                 return;
             TimelineHist h;
-            h.count = rel;
+            h.count = stat.count();
             h.mean = stat.mean();
             h.min = stat.min();
             h.max = stat.max();
@@ -384,17 +340,15 @@ TimelineRecorder::finalize(const TimelineTick &tick,
     first = true;
     registry_.visit(
         nullptr, nullptr,
-        [this, &line, &first](const std::string &name,
-                              const Histogram &hist) {
+        [&line, &first](const std::string &name,
+                        const Histogram &hist) {
             const HistogramSnapshot snap = hist.snapshot();
-            const uint64_t rel = relValue(snap.stat.count(),
-                                          baseline_hist_counts_, name);
-            if (rel == 0)
+            if (snap.stat.count() == 0)
                 return;
             line += (first ? "" : ",");
             line += json::quote(name);
             line += ":{\"count\":";
-            line += std::to_string(rel);
+            line += std::to_string(snap.stat.count());
             line += ",\"mean\":";
             line += json::number(snap.stat.mean());
             line += ",\"min\":";

@@ -22,6 +22,9 @@
  *    Under concurrency the tick facts stay prefix-consistent while
  *    registry values are approximate at window boundaries — exactly
  *    the covmap window contract;
+ *  - samples carry raw registry values: fuzz::CampaignEngine zeroes
+ *    the global registry when it is built (Registry::reset), so every
+ *    counter, gauge and histogram in a sample describes this campaign;
  *  - a bounded in-memory ring keeps the recent window for the
  *    `/timeline` endpoint and flight-recorder embeds; the JSONL
  *    artifact (`fuzz --timeline-out`) is delta-encoded and
@@ -100,8 +103,8 @@ struct TimelineHist
 struct TimelineSample
 {
     TimelineTick tick;
-    /** Counter values relative to the recorder's baseline (campaign-
-     *  cumulative), non-zero entries only. */
+    /** Non-zero counter values (campaign-cumulative: the engine
+     *  zeroes the registry when it is built). */
     std::map<std::string, uint64_t> counters;
     /** Non-zero gauge values (absolute). */
     std::map<std::string, double> gauges;
@@ -148,17 +151,6 @@ class TimelineRecorder
                  const std::string &extra_header_json = "");
 
     /**
-     * Recapture the counter/histogram-count baselines from the live
-     * registry. CampaignEngine::run() calls this right after its
-     * campaign-start metric resets: counters the campaign zeroes
-     * rebaseline to 0 (their raw value IS the campaign count), while
-     * untouched process-lifetime counters keep being subtracted out.
-     * Without this, a counter that climbs back to its construction-
-     * time value would ambiguously read as 0.
-     */
-    void rebaseline();
-
-    /**
      * Record one sample on the virtual-time grid: snapshot the
      * registry, push the ring, append one `timeline_sample` line to
      * the artifact. Serialized-owner only; no-op once finalized.
@@ -192,10 +184,7 @@ class TimelineRecorder
     std::string recentJson(size_t max_samples = 16) const;
 
   private:
-    /** Re-read the baseline maps from the registry; caller holds mu_
-     *  (or is the constructor). */
-    void captureBaselinesLocked();
-    /** Snapshot the registry into `sample` (counters rel. baseline). */
+    /** Snapshot the registry into `sample`. */
     void sampleRegistry(TimelineSample &sample) const;
     /** Append one delta-encoded sample line; caller holds mu_. */
     void writeSampleLine(const TimelineSample &sample);
@@ -204,12 +193,6 @@ class TimelineRecorder
 
     const TimelineOptions opts_;
     Registry &registry_;
-
-    /** Counter / histogram-count values at construction: everything a
-     *  previous campaign in this process accumulated is subtracted out
-     *  so artifacts of back-to-back runs are comparable. */
-    std::map<std::string, uint64_t> baseline_counters_;
-    std::map<std::string, uint64_t> baseline_hist_counts_;
 
     mutable std::mutex mu_;
     std::deque<TimelineSample> ring_;

@@ -815,14 +815,24 @@ flightRecordNow(std::string_view reason)
     out += Registry::global().snapshotJson();
     out += "}\n";
 
-    std::FILE *file = std::fopen(path.c_str(), "w");
+    // Write under a temporary name and rename into place, so a reader
+    // polling the directory (or a crash mid-write) never sees a partial
+    // record under the final name.
+    const std::string tmp = dir + "/.flightrec-" + std::to_string(now) +
+                            ".json.tmp";
+    std::FILE *file = std::fopen(tmp.c_str(), "w");
     if (file == nullptr) {
-        SP_WARN("flight recorder: cannot open '%s'", path.c_str());
+        SP_WARN("flight recorder: cannot open '%s'", tmp.c_str());
         return "";
     }
-    std::fwrite(out.data(), 1, out.size(), file);
-    std::fflush(file);
-    std::fclose(file);
+    const bool written =
+        std::fwrite(out.data(), 1, out.size(), file) == out.size();
+    if (std::fclose(file) != 0 || !written ||
+        std::rename(tmp.c_str(), path.c_str()) != 0) {
+        SP_WARN("flight recorder: cannot write '%s'", path.c_str());
+        std::remove(tmp.c_str());
+        return "";
+    }
     SP_WARN("flight record written to %s", path.c_str());
     return path;
 }

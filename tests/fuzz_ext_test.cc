@@ -1,13 +1,11 @@
-// Tests for the fuzzing extensions: corpus persistence (seedpool), the
-// crash-report formatter, and the white-box oracle localizer.
+// Tests for the fuzzing extensions: the crash-report formatter and the
+// white-box oracle localizer.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 
 #include "core/oracle.h"
 #include "fuzz/report.h"
-#include "fuzz/seedpool.h"
 #include "kernel/subsystems.h"
 #include "mutate/mutator.h"
 #include "prog/gen.h"
@@ -24,62 +22,6 @@ testKernel()
         return kern::buildBaseKernel(params);
     }();
     return kernel;
-}
-
-TEST(SeedPool, ProgramsRoundTripThroughDisk)
-{
-    const auto &kernel = testKernel();
-    Rng rng(4);
-    auto programs = prog::generateCorpus(rng, kernel.table(), 25);
-    const std::string path = "/tmp/sp_seedpool_test.txt";
-    fuzz::savePrograms(programs, path);
-
-    auto loaded = fuzz::loadPrograms(path, kernel.table());
-    ASSERT_EQ(loaded.size(), programs.size());
-    for (size_t i = 0; i < programs.size(); ++i)
-        EXPECT_TRUE(programs[i].equals(loaded[i])) << i;
-    std::remove(path.c_str());
-}
-
-TEST(SeedPool, CorpusSaveLoad)
-{
-    const auto &kernel = testKernel();
-    exec::Executor executor(kernel);
-    Rng rng(5);
-    fuzz::Corpus corpus;
-    auto programs = prog::generateCorpus(rng, kernel.table(), 20);
-    uint64_t counter = 0;
-    for (const auto &program : programs)
-        corpus.maybeAdd(program, executor.run(program), ++counter);
-    ASSERT_GT(corpus.size(), 3u);
-
-    const std::string path = "/tmp/sp_corpus_test.txt";
-    fuzz::saveCorpus(corpus, path);
-    auto loaded = fuzz::loadPrograms(path, kernel.table());
-    EXPECT_EQ(loaded.size(), corpus.size());
-    std::remove(path.c_str());
-}
-
-TEST(SeedPool, MissingFileYieldsEmpty)
-{
-    EXPECT_TRUE(fuzz::loadPrograms("/tmp/sp_no_such_corpus.txt",
-                                   testKernel().table())
-                    .empty());
-}
-
-TEST(SeedPool, UnparsableBlocksAreSkipped)
-{
-    const auto &kernel = testKernel();
-    const std::string path = "/tmp/sp_corpus_bad_test.txt";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        std::fprintf(f, "nosuchcall(0x1)\n\nread(nil, nil, 0x0)\n");
-        std::fclose(f);
-    }
-    auto loaded = fuzz::loadPrograms(path, kernel.table());
-    ASSERT_EQ(loaded.size(), 1u);
-    EXPECT_EQ(loaded[0].calls[0].decl->name, "read");
-    std::remove(path.c_str());
 }
 
 TEST(Report, FormatsTheAtaCrash)

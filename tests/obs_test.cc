@@ -146,13 +146,31 @@ TEST(Registry, SnapshotJsonRoundTrip)
 TEST(Registry, ResetZeroesEverything)
 {
     Registry reg;
-    reg.counter("a").inc(3);
-    reg.gauge("b").set(4.0);
-    reg.histogram("c").record(5.0);
+    Counter &a = reg.counter("a");
+    Gauge &b = reg.gauge("b");
+    Histogram &c = reg.histogram("c");
+    a.inc(3);
+    b.set(4.0);
+    c.record(5.0);
     reg.reset();
     EXPECT_EQ(reg.counter("a").value(), 0u);
     EXPECT_EQ(reg.gauge("b").value(), 0.0);
     EXPECT_EQ(reg.histogram("c").count(), 0u);
+
+    // Names stay registered, so handles taken before the reset still
+    // point at the live metrics: the property every cached
+    // instrumentation site relies on when a campaign zeroes the
+    // registry.
+    EXPECT_EQ(&reg.counter("a"), &a);
+    EXPECT_EQ(&reg.gauge("b"), &b);
+    EXPECT_EQ(&reg.histogram("c"), &c);
+    a.inc(2);
+    b.set(0.5);
+    c.record(7.0);
+    EXPECT_EQ(reg.counter("a").value(), 2u);
+    EXPECT_EQ(reg.gauge("b").value(), 0.5);
+    EXPECT_EQ(reg.histogram("c").count(), 1u);
+    EXPECT_EQ(reg.histogram("c").stat().max(), 7.0);
 }
 
 TEST(ScopedTimer, RecordsOnlyWhenTimingEnabled)
@@ -232,49 +250,6 @@ TEST(Registry, UnregisterGaugesWithPrefixDropsOnlyMatches)
     EXPECT_NE(snapshot.find("other.metric"), std::string::npos);
     // Re-creating a dropped gauge starts fresh.
     EXPECT_EQ(reg.gauge("run.worker.w0").value(), 0.0);
-}
-
-TEST(Registry, ResetGaugesWithPrefixZeroesInPlace)
-{
-    Registry reg;
-    Gauge &ratio = reg.gauge("cache.hit_ratio");
-    ratio.set(0.75);
-    reg.gauge("cache.depth").set(9.0);
-    reg.gauge("other.metric").set(3.0);
-    EXPECT_EQ(reg.resetGaugesWithPrefix("cache."), 2u);
-
-    // Names stay registered, so handles taken before the reset are
-    // still the live metric — the property the localizer hot path
-    // relies on.
-    EXPECT_EQ(ratio.value(), 0.0);
-    ratio.set(0.5);
-    EXPECT_EQ(reg.gauge("cache.hit_ratio").value(), 0.5);
-    EXPECT_EQ(reg.gauge("other.metric").value(), 3.0);
-    const std::string snapshot = reg.snapshotJson();
-    EXPECT_NE(snapshot.find("\"cache.depth\":0"), std::string::npos);
-    EXPECT_EQ(reg.resetGaugesWithPrefix("nope."), 0u);
-}
-
-TEST(Registry, ResetCountersWithPrefixZeroesInPlace)
-{
-    Registry reg;
-    Counter &windows = reg.counter("covmap.windows");
-    windows.inc(12);
-    reg.counter("covmap.stray_edges").inc(3);
-    reg.counter("other.events").inc(5);
-    EXPECT_EQ(reg.resetCountersWithPrefix("covmap."), 2u);
-
-    // Reset-in-place: handles taken before the reset stay live, which
-    // lets the campaign engine scrub covmap.* / snowplow.cache.*
-    // between runs without invalidating cached metric pointers.
-    EXPECT_EQ(windows.value(), 0u);
-    windows.inc(1);
-    EXPECT_EQ(reg.counter("covmap.windows").value(), 1u);
-    EXPECT_EQ(reg.counter("covmap.stray_edges").value(), 0u);
-    EXPECT_EQ(reg.counter("other.events").value(), 5u);
-    EXPECT_EQ(reg.resetCountersWithPrefix("nope."), 0u);
-    // The prefix scan must not spill past the matching range.
-    EXPECT_EQ(reg.resetCountersWithPrefix("covmap.z"), 0u);
 }
 
 TEST(Prometheus, RendersCountersGaugesAndSummaries)

@@ -270,45 +270,41 @@ TEST(ThompsonPolicy, PosteriorEvolutionIsDeterministic)
     const auto &kernel = testKernel();
     core::Pmm model;
 
-    auto runOnce = [&](const std::shared_ptr<DecisionPolicy> &policy) {
+    auto makeEngine = [&] {
         CampaignOptions campaign_opts;
         campaign_opts.workers = 1;
         campaign_opts.fuzz = smallCampaign(15);
         campaign_opts.fuzz.policy.kind = PolicyKind::Thompson;
-        campaign_opts.fuzz.policy.custom = policy;
-        auto engine =
-            core::makeSnowplowCampaign(kernel, model, campaign_opts);
-        return engine->run();
+        return core::makeSnowplowCampaign(kernel, model, campaign_opts);
     };
-
-    PolicyOptions popts;
-    popts.kind = PolicyKind::Thompson;
-    auto first = std::make_shared<ThompsonPolicy>(popts);
-    auto second = std::make_shared<ThompsonPolicy>(popts);
-    const auto report_a = runOnce(first);
-    const auto report_b = runOnce(second);
+    auto engine_a = makeEngine();
+    const auto report_a = engine_a->run();
+    auto engine_b = makeEngine();
+    const auto report_b = engine_b->run();
+    const DecisionPolicy &first = *engine_a->policy();
+    const DecisionPolicy &second = *engine_b->policy();
 
     // Same seed, same worker count: identical timeline AND identical
     // posterior state arm-for-arm.
     expectSameReport(report_a, report_b);
     uint64_t total_pulls = 0;
-    for (size_t arm = 0; arm < first->armCount(); ++arm) {
-        EXPECT_EQ(first->mergedPulls(static_cast<int>(arm)),
-                  second->mergedPulls(static_cast<int>(arm)))
+    for (size_t arm = 0; arm < first.armCount(); ++arm) {
+        EXPECT_EQ(first.mergedPulls(static_cast<int>(arm)),
+                  second.mergedPulls(static_cast<int>(arm)))
             << arm;
-        EXPECT_EQ(first->mergedWins(static_cast<int>(arm)),
-                  second->mergedWins(static_cast<int>(arm)))
+        EXPECT_EQ(first.mergedWins(static_cast<int>(arm)),
+                  second.mergedWins(static_cast<int>(arm)))
             << arm;
-        total_pulls += first->mergedPulls(static_cast<int>(arm));
+        total_pulls += first.mergedPulls(static_cast<int>(arm));
     }
     // Every mutation-lane execution pulled exactly one arm; only the
     // seed stage is unattributed.
     EXPECT_EQ(total_pulls,
               report_a.lane(MutationLane::Argument).produced +
                   report_a.lane(MutationLane::Structural).produced);
-    EXPECT_GT(first->pmmShare(), 0.0);
-    EXPECT_LE(first->pmmShare(), 1.0);
-    const std::string status = first->statusJson();
+    EXPECT_GT(first.pmmShare(), 0.0);
+    EXPECT_LE(first.pmmShare(), 1.0);
+    const std::string status = first.statusJson();
     EXPECT_NE(status.find("\"kind\":\"thompson\""), std::string::npos);
     EXPECT_NE(status.find("\"channel_pulls\""), std::string::npos);
 }

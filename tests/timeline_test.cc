@@ -1,9 +1,9 @@
-// Tests for the campaign timeline observatory: registry distribution
-// resets, TimelineRecorder sampling/ring/delta-encoded JSONL, workers=1
-// artifact bit-reproducibility, merge-grid alignment under workers=4
-// (the TSan'd sampling/scrape contract), the /timeline endpoint, and
-// the differential compare half (A vs A ⇒ zero deltas; synthetic
-// regressions are caught).
+// Tests for the campaign timeline observatory: TimelineRecorder
+// sampling/ring/delta-encoded JSONL, workers=1 artifact
+// bit-reproducibility, campaign scoping of the sampled registry,
+// merge-grid alignment under workers=4 (the TSan'd sampling/scrape
+// contract), the /timeline endpoint, and the differential compare half
+// (A vs A ⇒ zero deltas; synthetic regressions are caught).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -87,25 +88,6 @@ tickAt(uint64_t execs, uint64_t edges = 0)
     return tick;
 }
 
-TEST(Metrics, ResetDistributionsWithPrefix)
-{
-    Registry reg;
-    reg.histogram("tlx.alpha_us").record(3.0);
-    reg.histogram("tlx.beta_us").record(4.0);
-    reg.histogram("other.gamma_us").record(5.0);
-
-    EXPECT_EQ(reg.resetDistributionsWithPrefix("tlx."), 2u);
-    EXPECT_EQ(reg.histogram("tlx.alpha_us").count(), 0u);
-    EXPECT_EQ(reg.histogram("tlx.beta_us").count(), 0u);
-    EXPECT_EQ(reg.histogram("other.gamma_us").count(), 1u);
-
-    // Reset-in-place: handles taken before the reset stay valid.
-    Histogram &alpha = reg.histogram("tlx.alpha_us");
-    reg.resetDistributionsWithPrefix("tlx.");
-    alpha.record(7.0);
-    EXPECT_EQ(alpha.count(), 1u);
-}
-
 TEST(Metrics, HistogramStatMatchesSnapshotMoments)
 {
     Registry reg;
@@ -119,30 +101,22 @@ TEST(Metrics, HistogramStatMatchesSnapshotMoments)
     EXPECT_DOUBLE_EQ(stat.max(), 10.0);
 }
 
-TEST(TimelineRecorder, RingIsBoundedAndCountersAreBaselined)
+TEST(TimelineRecorder, RingIsBounded)
 {
     Registry reg;
-    reg.counter("tlx.count").inc(5);  // pre-campaign noise
-
     TimelineOptions opts;
     opts.registry = &reg;
     opts.ring_capacity = 4;
     TimelineRecorder recorder(opts);
 
-    for (uint64_t i = 1; i <= 10; ++i) {
-        if (i == 2)
-            reg.counter("tlx.count").inc(3);
+    for (uint64_t i = 1; i <= 10; ++i)
         recorder.onCheckpoint(tickAt(i * 100));
-    }
     EXPECT_EQ(recorder.sampleCount(), 10u);
 
     const auto samples = recorder.samples();
     ASSERT_EQ(samples.size(), 4u);
     EXPECT_EQ(samples.front().tick.execs, 700u);
     EXPECT_EQ(samples.back().tick.execs, 1000u);
-    // The construction-time value of tlx.count is subtracted out; only
-    // the in-campaign increment shows (cumulative in every sample).
-    EXPECT_EQ(samples.back().counters.at("tlx.count"), 3u);
 }
 
 TEST(TimelineRecorder, FinalizeIsIdempotentAndStopsSampling)
@@ -251,6 +225,48 @@ TEST(TimelineCampaign, SingleWorkerArtifactIsBitReproducible)
     EXPECT_EQ(a, b);
     std::remove("/tmp/sp_timeline_test_a.jsonl");
     std::remove("/tmp/sp_timeline_test_b.jsonl");
+}
+
+TEST(TimelineCampaign, ArtifactCarriesNoMetricsOfAPreviousCampaign)
+{
+    // Stand-in for a previous async campaign in this process: a queue
+    // depth, an inference latency and crash tallies left in the global
+    // registry. The engine zeroes the registry when it is built, so
+    // none of it may reach this campaign's artifact.
+    auto &reg = Registry::global();
+    reg.gauge("infer.queue_depth").set(3.0);
+    reg.histogram("infer.latency_us").record(1234.0);
+    reg.counter("crash.unique").inc(4);
+
+    const std::string path = "/tmp/sp_timeline_test_leak.jsonl";
+    const std::string artifact = runArtifact(path, 11, 1);
+    std::remove(path.c_str());
+
+    std::istringstream in(artifact);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    ASSERT_GT(lines.size(), 2u);
+    for (size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(lines[i].find("infer."), std::string::npos) << i;
+
+    // The final record's crash counter is this campaign's tally, the
+    // same number the tick reports.
+    const std::string &final_line = lines.back();
+    ASSERT_NE(final_line.find("\"type\":\"timeline_final\""),
+              std::string::npos);
+    const size_t at = final_line.find("\"crashes\":");
+    ASSERT_NE(at, std::string::npos);
+    const uint64_t crashes =
+        std::stoull(final_line.substr(at + std::strlen("\"crashes\":")));
+    if (crashes == 0) {
+        EXPECT_EQ(final_line.find("\"crash.unique\""),
+                  std::string::npos);
+    } else {
+        EXPECT_NE(final_line.find("\"crash.unique\":" +
+                                  std::to_string(crashes)),
+                  std::string::npos);
+    }
 }
 
 TEST(TimelineCampaign, SamplesLandOnTheCheckpointGridUnderWorkers)

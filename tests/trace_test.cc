@@ -405,10 +405,10 @@ TEST_F(TracerTest, WorkerGaugesDoNotLingerAcrossCampaigns)
     EXPECT_NE(reg.snapshotJson().find("fuzz.worker_busy_ratio.w3"),
               std::string::npos);
 
-    auto engine2 = core::makeSyzkallerCampaign(testKernel(),
-                                               smallCampaign(2, 19));
     // Plant a stale learned-localizer ratio from "a previous run".
     reg.gauge("snowplow.cache_hit_ratio").set(0.77);
+    auto engine2 = core::makeSyzkallerCampaign(testKernel(),
+                                               smallCampaign(2, 19));
     engine2->run();
     const std::string snapshot = reg.snapshotJson();
     EXPECT_NE(snapshot.find("fuzz.worker_busy_ratio.w1"),
@@ -418,8 +418,8 @@ TEST_F(TracerTest, WorkerGaugesDoNotLingerAcrossCampaigns)
     EXPECT_EQ(snapshot.find("fuzz.worker_busy_ratio.w3"),
               std::string::npos);
     // The learned-localizer cache ratio is campaign-scoped too, but
-    // the localizer hot path caches a handle to it, so campaigns zero
-    // it in place (resetGaugesWithPrefix) instead of unregistering: a
+    // the localizer hot path caches a handle to it, so the engine's
+    // registry reset zeroes it in place instead of unregistering: a
     // run that never touches the cache serves 0, not a stale ratio.
     EXPECT_EQ(snapshot.find("\"snowplow.cache_hit_ratio\":0.77"),
               std::string::npos);
